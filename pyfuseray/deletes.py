@@ -103,10 +103,13 @@ def delete_documents(index_dir: str, doc_ids: Iterable[int]) -> Manifest:
     new = np.unique(np.fromiter(doc_ids, dtype=np.int64))
     if new.size == 0:
         return m
-    if new.size and (new[0] < 0 or new[-1] >= m.n_docs):
-        bad = new[(new < 0) | (new >= m.n_docs)]
+    from pyfuseray.incremental import _doc_domain
+
+    domain = _doc_domain(index_dir, m.n_docs)
+    if new[0] < 0 or new[-1] >= domain:
+        bad = new[(new < 0) | (new >= domain)]
         raise ValueError(
-            f"doc_ids out of range [0, {m.n_docs}): {bad[:5].tolist()}..."
+            f"doc_ids out of range [0, {domain}): {bad[:5].tolist()}..."
         )
     merged = np.union1d(load_tombstones(index_dir, m), new)
     path = tombstone_path(index_dir)

@@ -121,6 +121,16 @@ def _max_doc_id(index_dir: str) -> int:
     return hi
 
 
+def _doc_domain(index_dir: str, n_docs: int) -> int:
+    """Doc-id half-open domain [0, D) covering every indexed doc.
+
+    After a compaction n_docs shrinks but surviving doc_ids keep their
+    original values, and ``append_pages`` assigns ids above url-collision
+    holes, so ids can exceed n_docs — shard ranges, bucket math and
+    delete bounds must span the true max id, not the count."""
+    return max(1, n_docs, _max_doc_id(index_dir) + 1)
+
+
 def add_documents(
     index_dir: str,
     new_corpus: rd.Dataset | None,

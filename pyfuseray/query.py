@@ -2,8 +2,10 @@
 
 Replaces the reference's O(index-size) sequential scan per query term
 (reference ``app/InvertedIndexFinal.py:363-392``) with partition-pruned
-segment reads: term -> crc32 bucket -> one Parquet partition, read with
-a predicate-pushdown filter on ``term``.
+segment reads: term -> crc32 bucket -> one Parquet partition -> only the
+row groups whose footer ``term`` min/max can hold the term
+(:func:`read_matching`; segment files are term-sorted per block with
+256-row groups, so a point lookup reads about one row group per file).
 
 Two scoring paths (SURVEY.md §2.9.3):
 - ``search_tfidf``: exhaustive TAAT log-TF-IDF + cosine, accumulation
@@ -21,12 +23,16 @@ inside actor processes with stats passed as ``ray.put`` object refs.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 
 from pyfuseray.analyzer import Analyzer, make_analyzer
 from pyfuseray.checkpoint import Manifest, load_manifest
@@ -71,6 +77,56 @@ def _merge_seg_rows(rows: list[SegmentRow]) -> SegmentRow:
     )
 
 
+# (path, footer, per-row-group (min, max) of the key column or None)
+Footer = tuple[str, pq.FileMetaData, list[tuple | None]]
+
+
+def read_footers(paths: list[str], column: str) -> list[Footer]:
+    """Each file's parquet footer plus the per-row-group ``column``
+    min/max it carries (None where the writer left no statistics).
+    Metadata only: no file handle outlives the call."""
+    out = []
+    for path in paths:
+        md = pq.read_metadata(path)
+        j = next(
+            (i for i in range(md.num_columns)
+             if md.schema.column(i).path == column),
+            None,
+        )
+        ranges = []
+        for g in range(md.num_row_groups):
+            st = md.row_group(g).column(j).statistics if j is not None else None
+            ranges.append((st.min, st.max) if st is not None and st.has_min_max else None)
+        out.append((path, md, ranges))
+    return out
+
+
+def read_matching(footers: list[Footer], column: str, values) -> list[pa.Table]:
+    """The rows whose ``column`` is in ``values``, one table per file
+    that has any. Reads only the row groups whose [min, max] can hold
+    one of the values (a row group without statistics is always read),
+    then filters them exactly with ``is_in``."""
+    want = sorted(set(values))
+    tables = []
+    for path, md, ranges in footers:
+        sel = []
+        for g, r in enumerate(ranges):
+            if r is not None:
+                i = bisect.bisect_left(want, r[0])
+                if i == len(want) or want[i] > r[1]:
+                    continue
+            sel.append(g)
+        if not sel:
+            continue
+        with pq.ParquetFile(path, metadata=md) as pf:
+            tbl = pf.read_row_groups(sel, use_threads=False)
+        key = tbl.column(column)
+        tbl = tbl.filter(pc.is_in(key, value_set=pa.array(want, type=key.type)))
+        if tbl.num_rows:
+            tables.append(tbl)
+    return tables
+
+
 class IndexSearcher:
     def __init__(self, index_dir: str, analyzer: Analyzer | None = None):
         self.index_dir = index_dir
@@ -93,14 +149,19 @@ class IndexSearcher:
             s for s in getattr(m, "seg_generations", None) or []
         ]
         self._multi_gen = len(self._seg_dirs) > 1
-        self._seg_datasets: dict[tuple[str, int], object] = {}
+        # (generation dir, bucket) -> footers of its segment files;
+        # paths and metadata only (an fd per file would not scale)
+        self._footers: dict[tuple[str, int], list[Footer]] = {}
         # bounded term -> SegmentRow|None cache (zipfian query terms)
         self._row_cache: dict[str, SegmentRow | None] = {}
         self._row_cache_max = 50_000
 
     # -- segment lookup -----------------------------------------------------
     def lookup(self, terms: list[str]) -> dict[str, SegmentRow]:
-        """Partition-pruned, filter-pushdown read of the terms' segment rows."""
+        """The terms' segment rows, merged across generations. A row-cache
+        miss reads, per generation, only the bucket's row groups whose
+        footer ``term`` range can hold a missed term (see
+        :func:`read_matching`); absent terms are cached as absent."""
         out: dict[str, SegmentRow] = {}
         cache = self._row_cache
         misses = []
@@ -119,39 +180,35 @@ class IndexSearcher:
         for bucket, ts in by_bucket.items():
             acc: dict[str, list[SegmentRow]] = {}
             for seg_name in self._seg_dirs:
-                dataset = self._seg_datasets.get((seg_name, bucket))
-                if dataset is None:
-                    part = os.path.join(
-                        self.index_dir, seg_name, f"bucket={bucket}"
-                    )
-                    dataset = (
-                        pads.dataset(part, format="parquet")
-                        if os.path.isdir(part)
-                        else "missing"
-                    )
-                    self._seg_datasets[(seg_name, bucket)] = dataset
-                if dataset == "missing":
-                    continue
-                tbl = dataset.to_table(filter=pads.field("term").isin(ts))
-                for i in range(tbl.num_rows):
-                    row = {c: tbl.column(c)[i].as_py() for c in
-                           ("term", "df", "cf", "blob")}
-                    acc.setdefault(row["term"], []).append(SegmentRow(
-                        term=row["term"],
-                        df=int(row["df"]),
-                        cf=int(row["cf"]),
-                        blob=row["blob"],
-                        last_doc=np.asarray(tbl.column("last_doc")[i].as_py(), dtype=np.int64),
-                        max_tf=np.asarray(tbl.column("max_tf")[i].as_py(), dtype=np.int64),
-                        max_bm25=np.asarray(tbl.column("max_bm25")[i].as_py(), dtype=np.float64),
-                        offset=np.asarray(tbl.column("offset")[i].as_py(), dtype=np.int64),
-                    ))
+                for tbl in read_matching(self._bucket_footers(seg_name, bucket), "term", ts):
+                    cols = [tbl.column(c).to_pylist() for c in (
+                        "term", "df", "cf", "blob", "last_doc", "max_tf", "max_bm25", "offset")]
+                    for term, df, cf, blob, last_doc, max_tf, max_bm25, offset in zip(*cols):
+                        acc.setdefault(term, []).append(SegmentRow(
+                            term=term,
+                            df=int(df),
+                            cf=int(cf),
+                            blob=blob,
+                            last_doc=np.asarray(last_doc, dtype=np.int64),
+                            max_tf=np.asarray(max_tf, dtype=np.int64),
+                            max_bm25=np.asarray(max_bm25, dtype=np.float64),
+                            offset=np.asarray(offset, dtype=np.int64),
+                        ))
             for term, rows in acc.items():
                 out[term] = rows[0] if len(rows) == 1 else _merge_seg_rows(rows)
         if len(cache) < self._row_cache_max:
             for t in misses:
                 cache[t] = out.get(t)
         return out
+
+    def _bucket_footers(self, seg_name: str, bucket: int) -> list[Footer]:
+        key = (seg_name, bucket)
+        footers = self._footers.get(key)
+        if footers is None:
+            part = os.path.join(self.index_dir, seg_name, f"bucket={bucket}")
+            files = pads.dataset(part, format="parquet").files if os.path.isdir(part) else []
+            footers = self._footers[key] = read_footers(files, "term")
+        return footers
 
     # -- stats sidecars -----------------------------------------------------
     # doc_ids are dense ranks (0..N-1), so docstats loads ONCE into dense

@@ -63,17 +63,6 @@ RESIDENT_BUCKETS = 64
 _RESIDENT_DIRNAME = "resident"
 
 
-def _doc_domain(index_dir: str, n_docs: int) -> int:
-    """Doc-id half-open domain [0, D) covering every indexed doc.
-
-    After a compaction n_docs shrinks but surviving doc_ids keep their
-    original values, so ids can exceed n_docs — shard ranges and bucket
-    math must span the true max id, not the count."""
-    from pyfuseray.incremental import _max_doc_id
-
-    return max(1, n_docs, _max_doc_id(index_dir) + 1)
-
-
 def _segments_signature(index_dir: str) -> list[list]:
     """(relpath, size, mtime_ns) of every segment parquet file — any
     rewrite (compaction, incremental add, rebuild) changes it."""
@@ -197,6 +186,8 @@ def ensure_resident_layout(
             "incremental.compact_tiers() first (the sidecar reads the "
             "consolidated segments/ dir only)"
         )
+    from pyfuseray.incremental import _doc_domain
+
     res = os.path.join(index_dir, _RESIDENT_DIRNAME)
     meta_path = os.path.join(res, "meta.json")
     domain = _doc_domain(index_dir, m.n_docs)
@@ -506,10 +497,19 @@ class ResidentTextSearcher:
         m = load_manifest(index_dir)
         if m is None or not m.stage_done("done"):
             raise FileNotFoundError(f"no complete index manifest in {index_dir}")
+        if getattr(m, "seg_generations", None):
+            # with or without the sidecar, the shards would load only
+            # the base segments/ dir and silently miss newer generations
+            raise RuntimeError(
+                "resident tier on a tiered multi-generation index: run "
+                "incremental.compact_tiers() first"
+            )
         self.manifest = m
         self.analyzer = make_analyzer(m.analyzer)
         # shard over the doc-id DOMAIN (max id + 1), not the count: a
         # compacted index keeps original ids, which can exceed n_docs
+        from pyfuseray.incremental import _doc_domain
+
         domain = _doc_domain(index_dir, m.n_docs)
         n_shards = max(1, min(n_shards, domain))
         resident_dir = None

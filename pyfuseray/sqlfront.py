@@ -7,12 +7,13 @@ or end-of-string, and parse errors fall back to
 ``{fields: ['*'], table: <default>, like_term: None}``.
 
 Execution (reference ``app/DataLoader.py:128-179``): like_term -> index
-top-k search -> doc_id -> row materialization (broadcast-small-side
-join against the corpus parquet via predicate pushdown, the Ray-native
-form of ``self.data.iloc[doc_id]``, reference J1) -> field aliasing and
-projection (``app/DataLoader.py:133-147``) -> score column appended
-(float plus the reference's ``f"{score:.2f}"`` string,
-``app/DataLoader.py:173``).
+top-k search -> doc_id -> row materialization (the form of
+``self.data.iloc[doc_id]``, reference J1: the corpus is doc_id-sorted,
+so each file's footer ``doc_id`` min/max names the few row groups that
+can hold the top-k ids, and only those are read —
+``query.read_matching``) -> field aliasing and projection
+(``app/DataLoader.py:133-147``) -> score column appended (float plus the
+reference's ``f"{score:.2f}"`` string, ``app/DataLoader.py:173``).
 
 ``to_duckdb_sql`` mirrors the reference's Postgres rewrite
 (``app/SqlParser.py:88-119``: AND-of-terms full-text match) as a DuckDB
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import pyarrow as pa
 import pyarrow.dataset as pads
 
-from pyfuseray.query import IndexSearcher
+from pyfuseray.query import IndexSearcher, read_footers, read_matching
 
 
 @dataclass
@@ -116,17 +117,35 @@ def dedup_results_keep_max_score(tbl: pa.Table, score_col: str = "score") -> pa.
     return tbl.take(pa.array(keep))
 
 
+def _conform(tbl: pa.Table, schema: pa.Schema) -> pa.Table:
+    """``tbl`` in the corpus dataset's schema, as a dataset scan returns
+    it: columns cast to the schema's types, absent ones null-filled (an
+    append file may lack a column of the first corpus file)."""
+    return pa.Table.from_arrays(
+        [
+            tbl.column(f.name).cast(f.type)
+            if f.name in tbl.column_names
+            else pa.nulls(tbl.num_rows, f.type)
+            for f in schema
+        ],
+        schema=schema,
+    )
+
+
 def execute_sql(
     query: str,
     index_dir: str,
-    corpus_path: str,
+    corpus_path: str | list[str],
     *,
     top_k: int = 10,
     scoring: str = "tfidf",
     aliases: dict[str, str] | None = None,
     searcher: IndexSearcher | None = None,
 ) -> pa.Table:
-    """Parse + rank + materialize + project. Returns an Arrow table."""
+    """Parse + rank + materialize + project. Returns an Arrow table.
+
+    ``corpus_path`` is a corpus directory, a parquet file, or a list of
+    parquet files (a pages corpus plus its ``append_gK/`` files)."""
     aliases = {**DEFAULT_ALIASES, **(aliases or {})}
     p = parse_query(query)
     k = p.limit or top_k
@@ -159,11 +178,18 @@ def execute_sql(
         empty = project(corpus.head(0))
         empty = empty.append_column("score", pa.array([], type=pa.float64()))
         return empty.append_column("score_fmt", pa.array([], type=pa.string()))
-    # broadcast-small-side join: top-k ids are tiny, push them into the
-    # parquet scan as an isin filter, then restore canonical rank order
+    # broadcast-small-side join: top-k ids are tiny; read only the row
+    # groups whose doc_id range can hold one, then restore rank order.
+    # Footers are re-read per call (no corpus state to go stale).
     import numpy as np
 
-    full = corpus.to_table(filter=pads.field("doc_id").isin([d for d, _ in hits]))
+    parts = read_matching(
+        read_footers(corpus.files, "doc_id"), "doc_id", [d for d, _ in hits]
+    )
+    full = pa.concat_tables(
+        [_conform(t, corpus.schema) for t in parts]
+        or [corpus.schema.empty_table()]
+    )
     rank = {d: r for r, (d, _) in enumerate(hits)}
     doc_ids = full.column("doc_id").to_pylist()
     full = full.take(pa.array(np.argsort([rank[d] for d in doc_ids], kind="stable")))

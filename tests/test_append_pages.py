@@ -157,3 +157,44 @@ def test_append_full_mode_matches_rebuild(ray_session, tmp_path):
         assert got == want, q
     # tfidf works on the consolidated index (would raise on tiered)
     assert IndexSearcher(ix).search_tfidf(QUERIES[0], 5)
+
+
+def test_delete_highest_appended_id(ray_session, tmp_path):
+    """append_pages numbers new docs above url-collision holes, so the
+    highest appended id exceeds n_docs - 1; deleting it must work and
+    the compacted index must equal the oracle over the survivors."""
+    import pyarrow as pa
+
+    from pyfuseray.deletes import compact, delete_documents
+    from tests.test_deletes import assert_matches_oracle
+
+    a = synth_pages(80, seed=5, null_text_frac=0.0, dup_frac=0.0)
+    pages_a = str(tmp_path / "a")
+    _write_pages(a, pages_a)
+    ix, cdir = str(tmp_path / "ix"), str(tmp_path / "c")
+    build_from_pages(pages_a, ix, corpus_dir=cdir, num_buckets=4,
+                     overwrite=True)
+    # 40 re-crawled urls + 40 new urls that sort after them: ids are
+    # base + url rank, so the collisions leave a 40-id hole below them
+    b = synth_pages(80, seed=6, null_text_frac=0.0, dup_frac=0.0)
+    b_new = b.slice(40, 40).set_column(
+        b.schema.get_field_index("url"), "url",
+        pa.array([f"https://zz.example/{i:02d}" for i in range(40)]),
+    )
+    pages_b = str(tmp_path / "b")
+    _write_pages(pa.concat_tables([a.slice(0, 40), b_new]), pages_b)
+    m = append_pages(ix, pages_b, corpus_dir=cdir, mode="tiered",
+                     max_generations=10)
+    corpus = pads.dataset(cdir, format="parquet").to_table(
+        columns=["doc_id", "text"])
+    docs = sorted(zip(corpus.column("doc_id").to_pylist(),
+                      corpus.column("text").to_pylist()))
+    assert len(docs) == m.n_docs == 120
+    top = docs[-1][0]
+    assert top >= m.n_docs  # the id the n_docs bound used to reject
+    delete_documents(ix, [top])
+    s = IndexSearcher(ix)
+    assert all(top not in {d for d, _ in s.search_bm25(q, 120)}
+               for q in QUERIES)
+    compact(ix)
+    assert_matches_oracle(ix, docs[:-1])

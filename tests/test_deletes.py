@@ -10,6 +10,8 @@ Contracts pinned here:
   generations collapse to one.
 - crash-model guards: out-of-range ids rejected; a stale tombstone
   sidecar with manifest n_deleted=0 is inert.
+- the accepted id range is the doc-id DOMAIN (max indexed id + 1), not
+  n_docs: compaction keeps original ids, so live ids can exceed n_docs.
 """
 
 import os
@@ -25,6 +27,7 @@ from pyfuseray.build import build_index
 from pyfuseray.checkpoint import load_manifest
 from pyfuseray.deletes import compact, delete_documents, load_tombstones
 from pyfuseray.distributed_query import bulk_search
+from pyfuseray.oracle import OracleIndex
 from pyfuseray.pages import synth_pages
 from pyfuseray.query import IndexSearcher
 
@@ -194,3 +197,42 @@ def test_stale_sidecar_is_inert(tmp_path):
     assert load_manifest(ix).n_deleted == 0
     m = compact(ix)
     assert m.n_docs == 40  # no-op: nothing subtracted
+
+
+def assert_matches_oracle(index_dir, docs):
+    """BM25 (TAAT and WAND) and TF-IDF top-k equal to the serial oracle
+    over ``docs`` ((doc_id, text) pairs): ranks identical, scores 1e-9."""
+    oracle = OracleIndex().build(docs)
+    s = IndexSearcher(index_dir)
+    for q in QUERIES:
+        want = oracle.search_bm25(q, 30)
+        for alg in ("taat", "wand"):
+            got = s.search_bm25(q, 30, algorithm=alg)
+            assert [d for d, _ in got] == [d for d, _ in want], q
+            assert np.allclose([v for _, v in got], [v for _, v in want],
+                               rtol=0, atol=1e-9), q
+        got, want = s.search_tfidf(q, 30), oracle.search_tfidf(q, 30)
+        assert [d for d, _ in got] == [d for d, _ in want], q
+        assert np.allclose([v for _, v in got], [v for _, v in want],
+                           rtol=0, atol=1e-9), q
+
+
+def test_delete_live_id_above_n_docs_after_compact(tmp_path):
+    """After a compaction n_docs shrinks but ids are kept, so the highest
+    surviving id is >= n_docs — it must still be deletable."""
+    texts = _texts(60)
+    ix = str(tmp_path / "ix")
+    build_index(_ds(texts), ix, num_buckets=2, num_salts=2)
+    delete_documents(ix, list(range(0, 60, 3)))
+    m = compact(ix)
+    top = 59
+    assert top >= m.n_docs  # the id the n_docs bound used to reject
+    delete_documents(ix, [top])
+    s = IndexSearcher(ix)
+    assert all(top not in {d for d, _ in s.search_bm25(q, 60)} for q in QUERIES)
+    with pytest.raises(ValueError):
+        delete_documents(ix, [top + 1])
+    compact(ix)
+    assert_matches_oracle(
+        ix, [(i, t) for i, t in enumerate(texts) if i % 3 and i != top]
+    )

@@ -205,3 +205,20 @@ def test_sidecar_invalidated_by_segment_rewrite(ray_session, tmp_path):
             ), q
     finally:
         r.close()
+
+
+def test_resident_refuses_tiered_index_with_or_without_sidecar(ray_session, tmp_path):
+    """A tiered index's newer generations live outside segments/, which
+    is all the shards load: both load routes must raise, not serve
+    base-only results."""
+    import pytest
+
+    from pyfuseray.incremental import add_documents
+
+    ix = _pangram_ix(tmp_path)
+    n = len(PANGRAM_DOCS)
+    add_documents(ix, rd.from_items([{"doc_id": n, "text": "quick wizard"}]),
+                  mode="tiered", max_generations=10)
+    for use_sidecar in (False, True):
+        with pytest.raises(RuntimeError, match="compact_tiers"):
+            ResidentTextSearcher(ix, n_shards=2, use_sidecar=use_sidecar)

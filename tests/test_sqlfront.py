@@ -131,3 +131,99 @@ def test_dedup_results_keep_max_score():
     out = dedup_results_keep_max_score(tbl)
     assert out.column("url").to_pylist() == ["u2", "u1", "u3"]
     assert out.column("score").to_pylist() == [5.0, 3.0, 2.0]
+
+
+def _isin_materialize(corpus_path, hits):
+    """The dataset-scan materialize this module used before footer-pruned
+    reads: rows matching the hit ids in rank order, with their scores."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+
+    corpus = pads.dataset(corpus_path, format="parquet")
+    full = corpus.to_table(filter=pads.field("doc_id").isin([d for d, _ in hits]))
+    rank = {d: r for r, (d, _) in enumerate(hits)}
+    ids = full.column("doc_id").to_pylist()
+    full = full.take(pa.array(np.argsort([rank[d] for d in ids], kind="stable")))
+    return full, [dict(hits)[d] for d in full.column("doc_id").to_pylist()]
+
+
+@pytest.fixture(scope="module")
+def pages_env(tmp_path_factory, ray_session):
+    """A pages-built index and its corpus dir, before and after an
+    append_pages (whose rows land under corpus_dir/append_g1/)."""
+    import os
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from pyfuseray.pages import synth_pages
+    from pyfuseray.pipeline import append_pages, build_from_pages
+
+    root = tmp_path_factory.mktemp("sql_pages")
+    for name, seed, off in (("a", 3, 0), ("b", 4, 10_000)):
+        tbl = synth_pages(120, seed=seed, null_text_frac=0.0, dup_frac=0.0,
+                          id_offset=off)
+        os.makedirs(root / name)
+        for i in range(3):  # a sharded pages input
+            pq.write_table(tbl.slice(40 * i, 40), str(root / name / f"p{i}.parquet"))
+    ix, cdir = str(root / "ix"), str(root / "c")
+    build_from_pages(str(root / "a"), ix, corpus_dir=cdir, num_buckets=4,
+                     overwrite=True)
+    ix0, cdir0 = str(root / "ix0"), str(root / "c0")
+    shutil.copytree(ix, ix0)
+    shutil.copytree(cdir, cdir0)
+    append_pages(ix, str(root / "b"), corpus_dir=cdir, mode="tiered",
+                 max_generations=10)
+    assert os.listdir(os.path.join(cdir, "append_g1"))
+    return ix0, cdir0, ix, cdir
+
+
+SQL_QUERIES = ["quick foxes jump", "flowers bloom spring", "search engine data"]
+
+
+def _files(d):
+    import os
+
+    return sorted(os.path.join(dp, f) for dp, _, fs in os.walk(d)
+                  for f in fs if f.endswith(".parquet"))
+
+
+@pytest.mark.parametrize("state", ["built", "appended"])
+def test_execute_materialize_matches_isin_scan(pages_env, state):
+    import os
+
+    import pyarrow.parquet as pq
+
+    from pyfuseray.query import IndexSearcher
+
+    ix0, cdir0, ix, cdir = pages_env
+    if state == "built":
+        # tfidf on the single-generation index; directory and file list
+        ix, scoring = ix0, "tfidf"
+        forms = [os.path.join(cdir0, "corpus"), _files(os.path.join(cdir0, "corpus"))]
+    else:
+        # the tiered index serves BM25; the list spans corpus/ + append_g1/
+        scoring = "bm25"
+        forms = [cdir, _files(cdir)]
+        assert any("append_g1" in f for f in forms[1])
+    s = IndexSearcher(ix)
+    base_max = max(
+        max(pq.read_table(f, columns=["doc_id"]).column("doc_id").to_pylist())
+        for f in _files(os.path.join(cdir0, "corpus"))
+    )
+    appended_hit = False
+    for q in SQL_QUERIES:
+        hits = s.search_bm25(q, 10) if scoring == "bm25" else s.search_tfidf(q, 10)
+        assert hits, q
+        appended_hit |= any(d > base_max for d, _ in hits)
+        for corpus_path in forms:
+            want, scores = _isin_materialize(corpus_path, hits)
+            for fields in ("*", "url, text"):
+                got = execute_sql(f"SELECT {fields} FROM pages LIKE {q}", ix,
+                                  corpus_path, scoring=scoring, searcher=s)
+                cols = want.column_names if fields == "*" else ["url", "text"]
+                assert got.select(cols).equals(want.select(cols)), (q, fields)
+                assert got.column("score").to_pylist() == scores
+                assert got.column("score_fmt").to_pylist() == [f"{v:.2f}" for v in scores]
+    assert appended_hit == (state == "appended")
