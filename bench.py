@@ -7,7 +7,7 @@
 Headline pipeline: ingest + inverted-index build over a deterministic
 synthetic pages corpus (PYFUSERAY_BENCH_DOCS rows, default 40000) plus
 the sf documents corpus, then the reference query set p50 latencies
-(TF-IDF TAAT and BM25 block-max WAND).
+(TF-IDF TAAT, BM25 block-max WAND, and mini-SQL with row materialize).
 """
 
 from __future__ import annotations
@@ -141,6 +141,7 @@ def run_bench() -> dict:
     # Large corpora (scaling runs) stay single-shot — at 1.2M pages the
     # job is long enough to average the noise out.
     ix_pages = f"/tmp/pyfuseray_bench_ix_{num_cpus}"
+    corpus_pages = f"/tmp/pyfuseray_bench_corpus_{num_cpus}"
     n_build_runs = int(
         os.environ.get("PYFUSERAY_BENCH_BUILD_RUNS", "2" if n_pages <= 100_000 else "1")
     )
@@ -152,7 +153,7 @@ def run_bench() -> dict:
         build_from_pages(
             pages_path,  # path form: (url, warc_ts) planning pass column-pruned
             ix_pages,
-            corpus_dir=f"/tmp/pyfuseray_bench_corpus_{num_cpus}",
+            corpus_dir=corpus_pages,
             num_buckets=8,
             overwrite=True,
         )
@@ -211,6 +212,21 @@ def run_bench() -> dict:
         lat_auto.append(statistics.median(runs_a))
         lat_wand.append(statistics.median(runs_w))
         lat_tfidf.append(statistics.median(runs_t))
+
+    # SQL: search_tfidf top-10 plus the corpus row materialize, through
+    # the one searcher (its row cache and corpus footer cache shared)
+    from pyfuseray.sqlfront import execute_sql
+
+    lat_sql = []
+    for q in QUERIES:
+        runs = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            execute_sql(f"SELECT url, text FROM pages LIKE {q} LIMIT 10",
+                        ix_pages, os.path.join(corpus_pages, "corpus"),
+                        searcher=searcher)
+            runs.append(time.perf_counter() - t0)
+        lat_sql.append(statistics.median(runs))
 
     # cold row cache: every query pays the segment lookup (footer-pruned
     # row-group reads), the cost a one-off tail query sees
@@ -296,9 +312,7 @@ def run_bench() -> dict:
     ivf_stats = _bench_ivf()
 
     # -- dedup family throughput over the bench corpus ----------------------
-    dedup_stats = _bench_dedup(
-        os.path.join(f"/tmp/pyfuseray_bench_corpus_{num_cpus}", "corpus"), num_cpus
-    )
+    dedup_stats = _bench_dedup(os.path.join(corpus_pages, "corpus"), num_cpus)
 
     # -- graph analytics throughput ------------------------------------------
     graph_stats = _bench_graph(num_cpus)
@@ -319,6 +333,7 @@ def run_bench() -> dict:
         "docs_per_sec_documents": round(n_docs_sf / timings["build_documents"], 1),
         "bm25_p50_ms": round(1000 * statistics.median(lat_auto), 3),
         "bm25_cold_p50_ms": round(1000 * statistics.median(lat_cold), 3),
+        "sql_p50_ms": round(1000 * statistics.median(lat_sql), 3),
         "bm25_resident_p50_ms": round(1000 * statistics.median(lat_res), 3),
         "bm25_resident_batch_ms_per_query": resident_batch_ms,
         "resident_text_load_sec": resident_load_sec,

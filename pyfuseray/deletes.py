@@ -4,7 +4,7 @@ The reference supports deletion only by wiping and rebuilding the whole
 index (reference ``app/DataLoader.py:46, 77-89``). Here deletes are the
 standard log-structured pair:
 
-- :func:`delete_documents` records tombstoned doc_ids in
+- :func:`delete_documents` records tombstoned doc_ids of live docs in
   ``stats/deleted.parquet`` (sorted, unique) and bumps
   ``manifest.n_deleted``. O(|tombstones|); the index is untouched.
   Every query path (interactive TAAT/WAND/boolean, distributed bulk)
@@ -93,8 +93,40 @@ def in_tombstones(doc_ids: np.ndarray, deleted: np.ndarray) -> np.ndarray:
     return deleted[pos] == doc_ids
 
 
+def _live_ids(index_dir: str, m: Manifest, ids: np.ndarray) -> np.ndarray:
+    """The sorted unique in-domain ``ids`` that name a live doc.
+
+    While the ids are dense every one of them does. Otherwise an id
+    missing from docstats is a doc an earlier compaction removed or an
+    append_pages url-collision hole, and is dropped: deleting it again
+    is a no-op. A doc with no indexed token is missing from docstats too,
+    so when the index holds such docs (n_docs exceeds the docstats rows)
+    such an id cannot be resolved and ValueError is raised."""
+    from pyfuseray.incremental import _docstats_paths, ids_dense
+
+    if ids_dense(m):
+        return ids
+    indexed = [
+        pq.read_table(p, columns=["doc_id"]).column("doc_id").to_numpy()
+        for p in _docstats_paths(index_dir, m)
+        if os.path.exists(p)
+    ]
+    indexed = np.concatenate(indexed) if indexed else np.zeros(0, np.int64)
+    known = np.isin(ids, indexed)
+    if not known.all() and m.n_docs > indexed.size:
+        raise ValueError(
+            f"doc_ids {ids[~known][:5].tolist()} name no indexed doc, and "
+            f"{m.n_docs - indexed.size} docs have no indexed token: cannot "
+            "tell whether they are live"
+        )
+    return ids[known]
+
+
 def delete_documents(index_dir: str, doc_ids: Iterable[int]) -> Manifest:
-    """Tombstone doc_ids (merging with existing tombstones) in place."""
+    """Tombstone doc_ids (merging with existing tombstones) in place.
+
+    Only ids naming a live doc are recorded (see ``_live_ids``), so
+    ``n_deleted`` counts docs and compact lowers n_docs by exactly it."""
     m = load_manifest(index_dir)
     if m is None:
         raise FileNotFoundError(f"no index manifest in {index_dir}")
@@ -111,6 +143,9 @@ def delete_documents(index_dir: str, doc_ids: Iterable[int]) -> Manifest:
         raise ValueError(
             f"doc_ids out of range [0, {domain}): {bad[:5].tolist()}..."
         )
+    new = _live_ids(index_dir, m, new)
+    if new.size == 0:
+        return m
     merged = np.union1d(load_tombstones(index_dir, m), new)
     path = tombstone_path(index_dir)
     os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -178,7 +213,10 @@ def _filter_runs_batch(
 
 
 def compact(index_dir: str) -> Manifest:
-    """Physically remove tombstoned postings and consolidate generations."""
+    """Physically remove tombstoned postings and consolidate generations.
+
+    n_docs drops by the tombstone count: ``delete_documents`` records
+    live docs only."""
     from pyfuseray.incremental import _generations, finish_add
     from pyfuseray.stats import total_tokens
 

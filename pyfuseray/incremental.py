@@ -71,6 +71,7 @@ import time
 
 import pyarrow.dataset as pads
 import ray.data as rd
+from ray.data.aggregate import Max, Min
 
 from pyfuseray.build import _segment_checksums
 from pyfuseray.checkpoint import BucketEntry, Manifest, load_manifest, save_manifest
@@ -96,19 +97,25 @@ def seg_stat_paths(index_dir: str, seg_name: str) -> tuple[str, str]:
     )
 
 
-def _max_doc_id(index_dir: str) -> int:
-    """Max indexed doc_id from docstats parquet column statistics (the
-    files are doc_id-sorted; fragment stats make this metadata-only).
-    Scans the base docstats plus every tiered generation's sidecar so
-    tiered adds validate against the true max."""
-    m = load_manifest(index_dir)
+def _docstats_paths(index_dir: str, m: Manifest | None) -> list[str]:
+    """The base docstats plus every tiered generation's docstats
+    sidecar: together one row per indexed doc (a doc with no indexed
+    token has none)."""
     paths = [os.path.join(index_dir, "stats", "docstats.parquet")]
     if m is not None:
         paths.extend(
             seg_stat_paths(index_dir, s)[1] for s in _seg_generations(m)
         )
+    return paths
+
+
+def _max_doc_id(index_dir: str) -> int:
+    """Max indexed doc_id from docstats parquet column statistics (the
+    files are doc_id-sorted; fragment stats make this metadata-only).
+    Scans the base docstats plus every tiered generation's sidecar so
+    tiered adds validate against the true max."""
     hi = -1
-    for path in paths:
+    for path in _docstats_paths(index_dir, load_manifest(index_dir)):
         if not os.path.exists(path):
             continue
         ds = pads.dataset(path, format="parquet")
@@ -129,6 +136,22 @@ def _doc_domain(index_dir: str, n_docs: int) -> int:
     holes, so ids can exceed n_docs — shard ranges, bucket math and
     delete bounds must span the true max id, not the count."""
     return max(1, n_docs, _max_doc_id(index_dir) + 1)
+
+
+def ids_dense(m: Manifest) -> bool:
+    """True while the doc ids are exactly 0..n_docs-1, so every id below
+    n_docs names a doc, indexed or not: a build numbers its docs densely,
+    and no tombstone compaction has removed one since and no add has left
+    a gap (``append_pages`` leaves url-collision holes). An add recorded
+    without ``dense_ids`` counts as a gap."""
+    for name, mark in m.stages.items():
+        if name.startswith("compact_postings_raw"):
+            return False
+        if name.startswith(("add_g", "tiered_add_g")) and not mark.get(
+            "dense_ids", False
+        ):
+            return False
+    return True
 
 
 def add_documents(
@@ -171,13 +194,16 @@ def add_documents(
         n_new = new_corpus.count()
     if n_new == 0:
         return m
-    lo = int(new_corpus.min("doc_id"))
+    span = new_corpus.aggregate(Min("doc_id"), Max("doc_id"))
+    lo, hi = int(span["min(doc_id)"]), int(span["max(doc_id)"])
     hi_existing = _max_doc_id(index_dir)
     if lo <= hi_existing:
         raise ValueError(
             f"new doc_ids must start above the indexed max ({hi_existing}); "
             f"got min doc_id {lo}"
         )
+    # the new ids continue 0..n_docs-1 without a gap (see ids_dense)
+    dense_ids = lo == m.n_docs and hi - lo + 1 == n_new
     gen_name = f"postings_raw_g{len(gens)}"
     gen_dir = os.path.join(index_dir, gen_name)
     tmp = gen_dir + ".writing"
@@ -200,7 +226,8 @@ def add_documents(
 
     if mode == "tiered":
         return _register_tiered_generation(
-            index_dir, m, gen_name, n_new, new_total, t0, max_generations
+            index_dir, m, gen_name, n_new, new_total, t0, max_generations,
+            dense_ids,
         )
 
     # ONE atomic manifest write: record the generation AND invalidate
@@ -218,6 +245,7 @@ def add_documents(
         wall_s=round(time.perf_counter() - t0, 3),
         n_new=n_new,
         new_tokens=new_total,
+        dense_ids=dense_ids,
     )
     save_manifest(index_dir, m)
 
@@ -232,6 +260,7 @@ def _register_tiered_generation(
     new_total: int,
     t0: float,
     max_generations: int,
+    dense_ids: bool,
 ) -> Manifest:
     """Build the new generation's OWN segments + stats (merge input =
     the new runs only) and register it in ONE atomic manifest write.
@@ -294,6 +323,7 @@ def _register_tiered_generation(
         n_new=n_new,
         new_tokens=new_total,
         merge_input_rows=int(merge_input_rows),
+        dense_ids=dense_ids,
     )
     save_manifest(index_dir, m)
     if len(m.seg_generations) >= max_generations:

@@ -246,6 +246,19 @@ def jsonl_to_corpus(
 # constant stays conservative.
 MATERIALIZE_DOC_LIMIT = 5_000_000
 
+# parquet layout of every corpus file (the four corpus writers below):
+# SQL row materialization reads only the row groups whose footer doc_id
+# range holds a hit, so groups must be small (64 rows: a ten-hit query
+# reads about ten groups, not half the corpus), and ``text`` gets no
+# min/max statistics (two whole page texts per row group in the footer
+# and page headers, never used for pruning). Ray's write_parquet passes
+# both keys through to pyarrow; a listed column the file lacks is
+# ignored (append files carry no warc_ts).
+CORPUS_WRITE = {
+    "row_group_size": 64,
+    "write_statistics": ["doc_id", "url", "warc_ts"],
+}
+
 
 def _atomic_json(path: str, obj) -> None:
     import json
@@ -475,7 +488,8 @@ def _resumable_write_first(
             t = pa.concat_tables([pq.read_table(f) for f in fl])
             t = t.sort_by("doc_id")
             pq.write_table(
-                t, os.path.join(tmp_final, f"part-{int(r):08d}.parquet")
+                t, os.path.join(tmp_final, f"part-{int(r):08d}.parquet"),
+                **CORPUS_WRITE,
             )
             rs.append(int(r))
             rows.append(t.num_rows)
@@ -609,7 +623,7 @@ def build_from_pages(
         if n_docs > materialize_threshold:
             # write-first route: stream the sorted corpus straight to
             # parquet (never resident as a whole), then build from files
-            extracted.sort("doc_id").write_parquet(tmp_final)
+            extracted.sort("doc_id").write_parquet(tmp_final, **CORPUS_WRITE)
             os.replace(tmp_final, final)
             corpus = rd.read_parquet(final, columns=["doc_id", "text"])
             return build_index(corpus, out_dir, n_docs=n_docs,
@@ -633,7 +647,7 @@ def build_from_pages(
 
         def _write_corpus():
             try:
-                corpus_mat.write_parquet(tmp_final)
+                corpus_mat.write_parquet(tmp_final, **CORPUS_WRITE)
                 os.replace(tmp_final, final)
             except BaseException as e:  # surfaced after join
                 err.append(e)
@@ -760,7 +774,7 @@ def append_pages(
         # the new generation's runs merge by pure concatenation
         fresh.map_batches(shift_ids, batch_format="pyarrow").sort(
             "doc_id"
-        ).write_parquet(tmp)
+        ).write_parquet(tmp, **CORPUS_WRITE)
         os.makedirs(tmp, exist_ok=True)  # empty-result edge
         os.replace(tmp, append_dir)
     if not any(f.endswith(".parquet") for f in os.listdir(append_dir)):

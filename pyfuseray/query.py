@@ -101,11 +101,15 @@ def read_footers(paths: list[str], column: str) -> list[Footer]:
     return out
 
 
-def read_matching(footers: list[Footer], column: str, values) -> list[pa.Table]:
+def read_matching(
+    footers: list[Footer], column: str, values, columns: list[str] | None = None
+) -> list[pa.Table]:
     """The rows whose ``column`` is in ``values``, one table per file
     that has any. Reads only the row groups whose [min, max] can hold
     one of the values (a row group without statistics is always read),
-    then filters them exactly with ``is_in``."""
+    then filters them exactly with ``is_in``. ``columns`` (which must
+    include ``column``) limits the columns read; a listed column a file
+    lacks is left out of that file's table."""
     want = sorted(set(values))
     tables = []
     for path, md, ranges in footers:
@@ -119,7 +123,7 @@ def read_matching(footers: list[Footer], column: str, values) -> list[pa.Table]:
         if not sel:
             continue
         with pq.ParquetFile(path, metadata=md) as pf:
-            tbl = pf.read_row_groups(sel, use_threads=False)
+            tbl = pf.read_row_groups(sel, columns=columns, use_threads=False)
         key = tbl.column(column)
         tbl = tbl.filter(pc.is_in(key, value_set=pa.array(want, type=key.type)))
         if tbl.num_rows:
@@ -152,6 +156,9 @@ class IndexSearcher:
         # (generation dir, bucket) -> footers of its segment files;
         # paths and metadata only (an fd per file would not scale)
         self._footers: dict[tuple[str, int], list[Footer]] = {}
+        # corpus file -> ((st_size, st_mtime_ns), doc_id footer) for SQL
+        # row materialization; see corpus_footers
+        self._corpus_footers: dict[str, tuple[tuple[int, int], Footer]] = {}
         # bounded term -> SegmentRow|None cache (zipfian query terms)
         self._row_cache: dict[str, SegmentRow | None] = {}
         self._row_cache_max = 50_000
@@ -209,6 +216,25 @@ class IndexSearcher:
             files = pads.dataset(part, format="parquet").files if os.path.isdir(part) else []
             footers = self._footers[key] = read_footers(files, "term")
         return footers
+
+    def corpus_footers(self, paths: list[str]) -> list[Footer]:
+        """The ``doc_id`` footers of corpus files ``paths`` (for
+        :func:`read_matching`), cached by path. Each call checks every
+        file's (size, mtime_ns) and re-reads the footer of a file that
+        changed or is new; entries for paths not listed are dropped.
+        Footer cost grows with the corpus's row-group count, so SQL
+        materialize would otherwise pay it per query."""
+        old, cur = self._corpus_footers, {}
+        for path in paths:
+            st = os.stat(path)
+            sig = (st.st_size, st.st_mtime_ns)
+            hit = old.get(path)
+            cur[path] = (
+                hit if hit is not None and hit[0] == sig
+                else (sig, read_footers([path], "doc_id")[0])
+            )
+        self._corpus_footers = cur
+        return [cur[path][1] for path in paths]
 
     # -- stats sidecars -----------------------------------------------------
     # doc_ids are dense ranks (0..N-1), so docstats loads ONCE into dense

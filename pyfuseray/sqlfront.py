@@ -8,12 +8,15 @@ or end-of-string, and parse errors fall back to
 
 Execution (reference ``app/DataLoader.py:128-179``): like_term -> index
 top-k search -> doc_id -> row materialization (the form of
-``self.data.iloc[doc_id]``, reference J1: the corpus is doc_id-sorted,
-so each file's footer ``doc_id`` min/max names the few row groups that
-can hold the top-k ids, and only those are read —
-``query.read_matching``) -> field aliasing and projection
-(``app/DataLoader.py:133-147``) -> score column appended (float plus the
-reference's ``f"{score:.2f}"`` string, ``app/DataLoader.py:173``).
+``self.data.iloc[doc_id]``, reference J1: the corpus is doc_id-sorted
+and written in 64-row groups (``pipeline.CORPUS_WRITE``), so each
+file's footer ``doc_id`` min/max names the few row groups that can hold
+the top-k ids, and only those groups' ``doc_id`` and selected columns
+are read — ``query.read_matching``; the footers are cached on the
+``IndexSearcher``, see ``IndexSearcher.corpus_footers``) -> field
+aliasing and projection (``app/DataLoader.py:133-147``) -> score column
+appended (float plus the reference's ``f"{score:.2f}"`` string,
+``app/DataLoader.py:173``).
 
 ``to_duckdb_sql`` mirrors the reference's Postgres rewrite
 (``app/SqlParser.py:88-119``: AND-of-terms full-text match) as a DuckDB
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 import pyarrow as pa
 import pyarrow.dataset as pads
 
-from pyfuseray.query import IndexSearcher, read_footers, read_matching
+from pyfuseray.query import IndexSearcher, read_matching
 
 
 @dataclass
@@ -118,9 +121,10 @@ def dedup_results_keep_max_score(tbl: pa.Table, score_col: str = "score") -> pa.
 
 
 def _conform(tbl: pa.Table, schema: pa.Schema) -> pa.Table:
-    """``tbl`` in the corpus dataset's schema, as a dataset scan returns
-    it: columns cast to the schema's types, absent ones null-filled (an
-    append file may lack a column of the first corpus file)."""
+    """``tbl`` in ``schema`` (the corpus dataset's schema, or the part of
+    it a statement reads), as a dataset scan returns it: columns cast to
+    the schema's types, absent ones null-filled (an append file may lack
+    a column of the first corpus file)."""
     return pa.Table.from_arrays(
         [
             tbl.column(f.name).cast(f.type)
@@ -145,50 +149,50 @@ def execute_sql(
     """Parse + rank + materialize + project. Returns an Arrow table.
 
     ``corpus_path`` is a corpus directory, a parquet file, or a list of
-    parquet files (a pages corpus plus its ``append_gK/`` files)."""
+    parquet files (a pages corpus plus its ``append_gK/`` files). A
+    passed ``searcher`` keeps the corpus footers across calls
+    (:meth:`IndexSearcher.corpus_footers`)."""
     aliases = {**DEFAULT_ALIASES, **(aliases or {})}
     p = parse_query(query)
     k = p.limit or top_k
     s = searcher or IndexSearcher(index_dir)
-    if p.like_term:
-        hits = (
-            s.search_bm25(p.like_term, k)
-            if scoring == "bm25"
-            else s.search_tfidf(p.like_term, k)
-        )
-    else:
-        hits = []
     corpus = pads.dataset(corpus_path, format="parquet")
+    schema = corpus.schema
+    star = p.fields == ["*"]
+    cols = schema.names if star else [aliases.get(f, f) for f in p.fields]
+    missing = [c for c in cols if c not in schema.names]
+    if missing:
+        raise KeyError(f"unknown column(s) {missing}; available: {schema.names}")
 
     def project(tbl: pa.Table) -> pa.Table:
-        if p.fields == ["*"]:
-            return tbl
-        cols = [aliases.get(f, f) for f in p.fields]
-        missing = [c for c in cols if c not in tbl.column_names]
-        if missing:
-            raise KeyError(
-                f"unknown column(s) {missing}; available: {tbl.column_names}"
-            )
-        return tbl.select(cols)
+        return tbl if star else tbl.select(cols)
 
     if not p.like_term:
         # plain scan: SELECT fields FROM t [LIMIT n]
         return project(corpus.head(k))
+    hits = (
+        s.search_bm25(p.like_term, k)
+        if scoring == "bm25"
+        else s.search_tfidf(p.like_term, k)
+    )
     if not hits:
         empty = project(corpus.head(0))
         empty = empty.append_column("score", pa.array([], type=pa.float64()))
         return empty.append_column("score_fmt", pa.array([], type=pa.string()))
-    # broadcast-small-side join: top-k ids are tiny; read only the row
-    # groups whose doc_id range can hold one, then restore rank order.
-    # Footers are re-read per call (no corpus state to go stale).
+    # broadcast-small-side join: top-k ids are tiny; read doc_id plus the
+    # selected columns of only the row groups whose doc_id range can hold
+    # one, then restore rank order.
     import numpy as np
 
+    read = schema if star else pa.schema(
+        [schema.field(c) for c in dict.fromkeys(["doc_id", *cols])]
+    )
     parts = read_matching(
-        read_footers(corpus.files, "doc_id"), "doc_id", [d for d, _ in hits]
+        s.corpus_footers(corpus.files), "doc_id", [d for d, _ in hits],
+        columns=read.names,
     )
     full = pa.concat_tables(
-        [_conform(t, corpus.schema) for t in parts]
-        or [corpus.schema.empty_table()]
+        [_conform(t, read) for t in parts] or [read.empty_table()]
     )
     rank = {d: r for r, (d, _) in enumerate(hits)}
     doc_ids = full.column("doc_id").to_pylist()

@@ -162,7 +162,9 @@ def test_append_full_mode_matches_rebuild(ray_session, tmp_path):
 def test_delete_highest_appended_id(ray_session, tmp_path):
     """append_pages numbers new docs above url-collision holes, so the
     highest appended id exceeds n_docs - 1; deleting it must work and
-    the compacted index must equal the oracle over the survivors."""
+    the compacted index must equal the oracle over the survivors. A hole
+    id is inside the doc-id domain too, so it is accepted, but the
+    compaction must not count it as a removed doc."""
     import pyarrow as pa
 
     from pyfuseray.deletes import compact, delete_documents
@@ -192,9 +194,11 @@ def test_delete_highest_appended_id(ray_session, tmp_path):
     assert len(docs) == m.n_docs == 120
     top = docs[-1][0]
     assert top >= m.n_docs  # the id the n_docs bound used to reject
-    delete_documents(ix, [top])
+    ids = {d for d, _ in docs}
+    hole = next(i for i in range(top) if i not in ids)
+    delete_documents(ix, [top, hole])
     s = IndexSearcher(ix)
     assert all(top not in {d for d, _ in s.search_bm25(q, 120)}
                for q in QUERIES)
-    compact(ix)
+    assert compact(ix).n_docs == len(docs) - 1
     assert_matches_oracle(ix, docs[:-1])

@@ -12,6 +12,8 @@ Contracts pinned here:
   sidecar with manifest n_deleted=0 is inert.
 - the accepted id range is the doc-id DOMAIN (max indexed id + 1), not
   n_docs: compaction keeps original ids, so live ids can exceed n_docs.
+- only live docs are tombstoned, so compact lowers n_docs by exactly the
+  docs it removes; an id that cannot be resolved is refused up front.
 """
 
 import os
@@ -25,8 +27,14 @@ import ray.data as rd
 
 from pyfuseray.build import build_index
 from pyfuseray.checkpoint import load_manifest
-from pyfuseray.deletes import compact, delete_documents, load_tombstones
+from pyfuseray.deletes import (
+    compact,
+    delete_documents,
+    load_tombstones,
+    tombstone_path,
+)
 from pyfuseray.distributed_query import bulk_search
+from pyfuseray.incremental import add_documents, ids_dense
 from pyfuseray.oracle import OracleIndex
 from pyfuseray.pages import synth_pages
 from pyfuseray.query import IndexSearcher
@@ -219,7 +227,9 @@ def assert_matches_oracle(index_dir, docs):
 
 def test_delete_live_id_above_n_docs_after_compact(tmp_path):
     """After a compaction n_docs shrinks but ids are kept, so the highest
-    surviving id is >= n_docs — it must still be deletable."""
+    surviving id is >= n_docs — it must still be deletable. Ids the
+    compaction removed stay inside the doc-id domain, so deleting them
+    again is accepted, but must not lower n_docs a second time."""
     texts = _texts(60)
     ix = str(tmp_path / "ix")
     build_index(_ds(texts), ix, num_buckets=2, num_salts=2)
@@ -232,7 +242,53 @@ def test_delete_live_id_above_n_docs_after_compact(tmp_path):
     assert all(top not in {d for d, _ in s.search_bm25(q, 60)} for q in QUERIES)
     with pytest.raises(ValueError):
         delete_documents(ix, [top + 1])
-    compact(ix)
-    assert_matches_oracle(
-        ix, [(i, t) for i, t in enumerate(texts) if i % 3 and i != top]
-    )
+    delete_documents(ix, [0, 3])  # removed by the first compaction
+    survivors = [(i, t) for i, t in enumerate(texts) if i % 3 and i != top]
+    assert compact(ix).n_docs == len(survivors)
+    assert_matches_oracle(ix, survivors)
+
+
+def test_delete_docs_that_have_no_indexed_token(tmp_path):
+    """A doc with no indexed token (empty or stopword-only text) counts in
+    n_docs but has no docstats row. While ids are dense it is deletable
+    and compaction matches the oracle. After a compaction removed ids, an
+    id missing from docstats cannot be told from such a doc: the delete
+    is refused before anything is written, and compact stays possible."""
+    texts = _texts(40)
+    texts[5] = ""
+    texts[9] = "the and of"  # stopwords only
+    ix = str(tmp_path / "ix")
+    build_index(_ds(texts), ix, num_buckets=2, num_salts=2)
+    delete_documents(ix, [2, 5])
+    survivors = [(i, t) for i, t in enumerate(texts) if i not in (2, 5)]
+    assert compact(ix).n_docs == len(survivors)
+    assert_matches_oracle(ix, survivors)
+    for ids in ([5], [9], [7, 2]):  # removed, unindexed, indexed + removed
+        with pytest.raises(ValueError, match="no indexed token"):
+            delete_documents(ix, ids)
+    assert load_manifest(ix).n_deleted == 0
+    assert not os.path.exists(tombstone_path(ix))
+    delete_documents(ix, [7])
+    survivors = [(i, t) for i, t in survivors if i != 7]
+    assert compact(ix).n_docs == len(survivors)
+    assert_matches_oracle(ix, survivors)
+
+
+@pytest.mark.parametrize("mode", ["full", "tiered"])
+def test_adds_record_whether_ids_stay_dense(tmp_path, mode):
+    """An add that continues 0..n_docs-1 keeps the ids dense, so a doc
+    with no indexed token stays deletable; an add that leaves a gap
+    does not."""
+    texts = _texts(50)
+    texts[4] = ""
+    ix = str(tmp_path / "ix")
+    build_index(_ds(texts[:30]), ix, num_buckets=2, num_salts=2)
+    add_documents(ix, _ds(texts[30:40], list(range(30, 40))), mode=mode)
+    assert ids_dense(load_manifest(ix))
+    delete_documents(ix, [4])
+    survivors = [(i, t) for i, t in enumerate(texts[:40]) if i != 4]
+    add_documents(ix, _ds(texts[40:], list(range(41, 51))), mode=mode)
+    assert not ids_dense(load_manifest(ix))
+    survivors += list(zip(range(41, 51), texts[40:]))
+    assert compact(ix).n_docs == len(survivors)
+    assert_matches_oracle(ix, survivors)

@@ -157,3 +157,96 @@ def test_stage_b_final_corpus_globally_sorted(ray_session, pages_dir, tmp_path):
         ), f
         if ids.size:
             last = int(ids[-1])
+
+
+@pytest.fixture(scope="module")
+def corpus_routes(ray_session, pages_dir, tmp_path_factory):
+    """{route: (index_dir, corpus_dir)} for each route that writes a corpus:
+    materialize (default), write-first (Dataset input, threshold 0),
+    resumable (ingest_groups), and append_pages onto the materialize
+    build (its rows land in corpus_dir/append_g1/)."""
+    import ray.data as rd
+
+    from pyfuseray.pipeline import append_pages
+
+    base = tmp_path_factory.mktemp("corpus_routes")
+    routes = {
+        "materialize": (pages_dir, {}),
+        "write_first": (rd.read_parquet(pages_dir), {"materialize_threshold": 0}),
+        "resumable": (pages_dir, {"ingest_groups": 3}),
+    }
+    out = {}
+    for name, (src, kw) in routes.items():
+        ix, cdir = str(base / f"ix_{name}"), str(base / f"c_{name}")
+        build_from_pages(src, ix, corpus_dir=cdir, num_buckets=2,
+                         overwrite=True, **kw)
+        out[name] = (ix, cdir)
+    new = base / "new_pages"
+    os.makedirs(new)
+    pq.write_table(synth_pages(1500, seed=12, null_text_frac=0.1,
+                               id_offset=50_000), str(new / "p.parquet"))
+    ix, cdir = out["materialize"]
+    append_pages(ix, str(new), corpus_dir=cdir, mode="tiered",
+                 max_generations=10)
+    return out
+
+
+def _parquet_files(d):
+    return sorted(os.path.join(d, f) for f in os.listdir(d)
+                  if f.endswith(".parquet"))
+
+
+@pytest.mark.parametrize("route", ["materialize", "write_first", "resumable",
+                                   "append_pages"])
+def test_corpus_files_use_small_row_groups_without_text_statistics(
+        corpus_routes, route):
+    """Every corpus writer uses pipeline.CORPUS_WRITE: row groups of at
+    most 64 rows, doc_id min/max in every row group (SQL materialize
+    prunes on it), no statistics on text."""
+    if route == "append_pages":
+        files = _parquet_files(os.path.join(corpus_routes["materialize"][1],
+                                            "append_g1"))
+    else:
+        files = _parquet_files(os.path.join(corpus_routes[route][1], "corpus"))
+    assert files
+    n_groups = 0
+    for f in files:
+        md = pq.read_metadata(f)
+        for g in range(md.num_row_groups):
+            rg = md.row_group(g)
+            st = {rg.column(j).path_in_schema: rg.column(j).statistics
+                  for j in range(rg.num_columns)}
+            assert 0 < rg.num_rows <= 64, (f, g)
+            assert st["doc_id"] is not None and st["doc_id"].has_min_max, (f, g)
+            assert st["url"] is not None and st["url"].has_min_max, (f, g)
+            assert st["text"] is None or not st["text"].has_min_max, (f, g)
+            n_groups += 1
+    # the layout is exercised, not just one group per file
+    assert n_groups > len(files)
+
+
+def test_ten_hit_sql_reads_at_most_ten_corpus_row_groups(corpus_routes,
+                                                         monkeypatch):
+    from pyfuseray.sqlfront import execute_sql
+
+    ix, cdir = corpus_routes["resumable"]
+    corpus = os.path.join(cdir, "corpus")
+    total = sum(pq.read_metadata(f).num_row_groups
+                for f in _parquet_files(corpus))
+    s = IndexSearcher(ix)
+    read: list[int] = []
+    real = pq.ParquetFile.read_row_groups
+
+    def counting(self, row_groups, *a, **kw):
+        read.extend(row_groups)
+        return real(self, row_groups, *a, **kw)
+
+    for q in ["quick foxes jump", "data stream merge", "webhot"]:
+        assert len(s.search_tfidf(q, 10)) == 10  # row cache now holds q's terms
+        read.clear()
+        monkeypatch.setattr(pq.ParquetFile, "read_row_groups", counting)
+        out = execute_sql(f"SELECT url, text FROM pages LIKE {q} LIMIT 10",
+                          ix, corpus, searcher=s)
+        monkeypatch.undo()
+        assert out.num_rows == 10
+        assert 1 <= len(read) <= 10 < total, (q, len(read), total)

@@ -227,3 +227,125 @@ def test_execute_materialize_matches_isin_scan(pages_env, state):
                 assert got.column("score").to_pylist() == scores
                 assert got.column("score_fmt").to_pylist() == [f"{v:.2f}" for v in scores]
     assert appended_hit == (state == "appended")
+
+
+@pytest.mark.parametrize("form", ["dir", "list"])
+def test_materialize_reads_only_selected_columns(pages_env, form, monkeypatch):
+    """The ranked materialize reads doc_id plus the SELECT's columns after
+    alias mapping (all of them for ``*``); an unknown column raises
+    KeyError before anything is read."""
+    import os
+
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    from pyfuseray.query import IndexSearcher
+
+    ix0, cdir0, _, _ = pages_env
+    corpus = os.path.join(cdir0, "corpus")
+    corpus_path = corpus if form == "dir" else _files(corpus)
+    every = pads.dataset(corpus_path, format="parquet").schema.names
+    s = IndexSearcher(ix0)
+    q = SQL_QUERIES[0]
+    hits = s.search_tfidf(q, 10)  # the row cache now holds q's terms
+    want, scores = _isin_materialize(corpus_path, hits)
+    seen: list = []
+    real = pq.ParquetFile.read_row_groups
+
+    def spy(self, row_groups, *a, columns=None, **kw):
+        seen.append(columns)
+        return real(self, row_groups, *a, columns=columns, **kw)
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", spy)
+    cases = {
+        "*": (every, every),
+        "url": (["url"], ["doc_id", "url"]),
+        "page, body": (["url", "text"], ["doc_id", "url", "text"]),
+        "text, doc_id": (["text", "doc_id"], ["doc_id", "text"]),
+    }
+    for fields, (out_cols, read_cols) in cases.items():
+        seen.clear()
+        got = execute_sql(f"SELECT {fields} FROM pages LIKE {q}", ix0,
+                          corpus_path, searcher=s)
+        assert got.column_names == out_cols + ["score", "score_fmt"], fields
+        assert got.select(out_cols).equals(want.select(out_cols)), fields
+        assert got.column("score").to_pylist() == scores
+        assert seen and all(c == read_cols for c in seen), (fields, seen)
+    seen.clear()
+    with pytest.raises(KeyError, match="nope"):
+        execute_sql(f"SELECT url, nope FROM pages LIKE {q}", ix0,
+                    corpus_path, searcher=s)
+    assert seen == []
+
+
+def test_corpus_footer_cache_follows_added_and_rewritten_files(
+        pages_env, tmp_path, monkeypatch):
+    """One searcher's cached corpus footers give the same rows as a fresh
+    execute_sql without a searcher when files join the corpus (an
+    append_pages generation) and when a file is rewritten in place."""
+    import os
+    import shutil
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from pyfuseray.query import IndexSearcher
+
+    _, _, ix, cdir = pages_env
+    c = str(tmp_path / "c")  # a copy: the module fixture stays intact
+    shutil.copytree(cdir, c)
+    base_files = _files(os.path.join(c, "corpus"))
+    s = IndexSearcher(ix)
+    footer_reads: list[str] = []
+    real = pq.read_metadata
+
+    def counting(path, *a, **kw):
+        footer_reads.append(path)
+        return real(path, *a, **kw)
+
+    monkeypatch.setattr(pq, "read_metadata", counting)
+
+    def same(corpus_path):
+        outs = []
+        for q in SQL_QUERIES:
+            sql = f"SELECT * FROM pages LIKE {q}"
+            got = execute_sql(sql, ix, corpus_path, scoring="bm25", searcher=s)
+            want = execute_sql(sql, ix, corpus_path, scoring="bm25")
+            assert got.equals(want), q
+            outs.append(got)
+        return outs
+
+    # the tiered index already holds append_g1's docs: hits without a
+    # corpus row are dropped by both sides alike
+    same(base_files)
+    assert list(s._corpus_footers) == base_files
+    footer_reads.clear()
+    for q in SQL_QUERIES:  # unchanged files: no footer is read again
+        execute_sql(f"SELECT url FROM pages LIKE {q}", ix, base_files,
+                    scoring="bm25", searcher=s)
+    assert footer_reads == []
+    # append_pages' files join the list: only their footers are read
+    same(c)
+    appended = _files(os.path.join(c, "append_g1"))
+    assert appended and sorted(s._corpus_footers) == _files(c)
+    # files rewritten in place (new size and mtime): footers are re-read
+    upper = set()
+    for f in appended:
+        t = pq.read_table(f)
+        t = t.set_column(t.column_names.index("text"), "text",
+                         pc.utf8_upper(t.column("text")))
+        pq.write_table(t, f, row_group_size=5)
+        upper.update(t.column("text").to_pylist())
+    outs = same(c)
+    assert any(v in upper for o in outs for v in o.column("text").to_pylist())
+    # an mtime-only change also invalidates the entry
+    footer_reads.clear()
+    f = appended[0]
+    st = os.stat(f)
+    os.utime(f, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    execute_sql(f"SELECT url FROM pages LIKE {SQL_QUERIES[0]}", ix, c,
+                scoring="bm25", searcher=s)
+    assert [p for p in footer_reads if p == f] == [f]
+    # files no longer listed are dropped
+    same(base_files)
+    assert list(s._corpus_footers) == base_files
