@@ -317,7 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     a.add_argument("--index", required=True)
     a.add_argument("--input", help="(doc_id, text) parquet; ids above indexed max")
     a.add_argument("--finish", action="store_true",
-                   help="repair an interrupted add (redo merge from manifest)")
+                   help="finish an interrupted add, compact or compact-tiers: "
+                        "resume the build over the recorded generations and "
+                        "remove the paths the manifest no longer names")
     a.add_argument("--tiered", action="store_true",
                    help="log-structured add: merge only the new generation "
                         "(BM25/boolean exact; WAND/tfidf/bulk/resident gated "

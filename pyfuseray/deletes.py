@@ -18,9 +18,11 @@ standard log-structured pair:
   SPIMI run, drops deleted doc_ids, and re-encodes (vectorized,
   whole-batch — one ``varbyte_decode``/``encode_sorted_runs`` per
   batch, no per-run Python loop). The filtered runs land as ONE new
-  consolidated generation (compaction also collapses incremental
-  generations), then the merge + stats stages rerun via
-  ``incremental.finish_add`` with n_docs/avgdl recomputed. Search
+  consolidated generation (compaction also collapses incremental and
+  tiered generations), the derived stages are retired
+  (``incremental.retire_derived``) and ``incremental.finish_add``
+  resumes ``build_index`` over it, restating avgdl from the filtered
+  runs. Search
   results are exactly those of a fresh build over the surviving corpus
   (same postings, df, doclen, avgdl, n_docs ⇒ identical scores;
   pytest-pinned in tests/test_deletes.py).
@@ -40,12 +42,14 @@ over run rows (no shuffle); only the standard merge shuffle follows.
 
 Crash safety mirrors ``incremental.add_documents``: the filtered
 generation is written to ``<dir>.writing`` and renamed BEFORE the one
-atomic manifest write that swaps the generation list, updates
-n_docs/avgdl, clears the obsoleted stages and zeroes n_deleted; old
-generation dirs and the tombstone sidecar are removed only after. A
-crash in between leaves either (a) the old manifest + an orphan dir
-(redo compact) or (b) the new manifest + a stale-but-inert sidecar
-(readers gate on ``n_deleted``), never a double-applied delete.
+atomic manifest write that swaps the generation list, updates n_docs,
+retires the derived stages and zeroes n_deleted; the tombstone sidecar
+is removed only after, and the old generation dirs once ``finish_add``
+reaches ``done``. A crash in between leaves either (a) the old
+manifest + an orphan dir (redo compact; the next ``finish_add`` removes
+the orphan) or (b) the new manifest with ``done=False`` + a
+stale-but-inert sidecar (readers gate on ``n_deleted``; run
+``incremental.finish_add``), never a double-applied delete.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
-import ray.data as rd
 
 from pyfuseray.checkpoint import Manifest, load_manifest, save_manifest
 from pyfuseray.codec import BLOCK_SIZE, decode_postings
@@ -217,8 +220,8 @@ def compact(index_dir: str) -> Manifest:
 
     n_docs drops by the tombstone count: ``delete_documents`` records
     live docs only."""
-    from pyfuseray.incremental import _generations, finish_add
-    from pyfuseray.stats import total_tokens
+    from pyfuseray.build import _read_generations
+    from pyfuseray.incremental import _generations, finish_add, retire_derived
 
     m = load_manifest(index_dir)
     if m is None:
@@ -241,8 +244,7 @@ def compact(index_dir: str) -> Manifest:
     shutil.rmtree(tmp, ignore_errors=True)
 
     t0 = time.perf_counter()
-    parts = [rd.read_parquet(os.path.join(index_dir, g)) for g in gens]
-    postings_all = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+    postings_all = _read_generations([os.path.join(index_dir, g) for g in gens])
     deleted_ref = ray.put(deleted)
     filtered = postings_all.map_batches(
         _filter_runs_batch,
@@ -256,41 +258,22 @@ def compact(index_dir: str) -> Manifest:
     filtered.write_parquet(tmp, partition_cols=["bucket"])
     os.replace(tmp, gen_dir)
 
-    new_total = total_tokens(rd.read_parquet(gen_dir, columns=["cf"]))
-    # ONE atomic manifest write: swap generations, restate global stats,
-    # invalidate the stages the filtered postings obsolete, retire the
-    # tombstones (n_deleted=0 makes the sidecar inert — see module doc)
-    old_gens = list(gens)
-    # a tombstone compaction also consolidates tiered segment
-    # generations (their postings are in the union above); their dirs
-    # are removed with the old postings generations below
-    old_seg_gens = list(getattr(m, "seg_generations", None) or [])
-    m.seg_generations = []
+    # ONE atomic manifest write: swap generations (the tiered ones fold
+    # too: their postings are in the union above), retire the derived
+    # stages, retire the tombstones (n_deleted=0 makes the sidecar
+    # inert — see module doc)
     m.generations = [gen_name]
     m.n_docs -= int(deleted.size)
-    m.total_postings = new_total
-    m.avgdl = (new_total / m.n_docs) if m.n_docs else 0.0
     m.n_deleted = 0
-    m.buckets = {}
-    for stage in ("df", "docstats", "compression", "done"):
-        m.stages.pop(stage, None)
+    retire_derived(m)
     m.mark_stage(
         f"compact_{gen_name}",
         wall_s=round(time.perf_counter() - t0, 3),
         n_deleted=int(deleted.size),
-        from_generations=old_gens,
+        from_generations=gens,
     )
     save_manifest(index_dir, m)
     path = tombstone_path(index_dir)
     if os.path.exists(path):
         os.remove(path)
-    for g in old_gens:
-        shutil.rmtree(os.path.join(index_dir, g), ignore_errors=True)
-    if old_seg_gens:
-        from pyfuseray.incremental import seg_stat_paths
-
-        for s in old_seg_gens:
-            shutil.rmtree(os.path.join(index_dir, s), ignore_errors=True)
-            for p in seg_stat_paths(index_dir, s):
-                shutil.rmtree(p, ignore_errors=True)
     return finish_add(index_dir)

@@ -20,32 +20,41 @@ Layout after k adds:
                                 seg_generations: tiered segment dirs)
       postings_raw/bucket=b/   (generation 0 — the original build)
       postings_raw_g1/bucket=b/
-      segments/bucket=b/       (full mode: rebuilt over ALL generations;
-                                tiered mode: the base generation only)
-      segments_g1/bucket=b/    (tiered mode only, one per tiered add)
+      segments/bucket=b/       (after a full add or a compaction: built
+                                over ALL generations; while tiered
+                                generations exist: the older ones only)
+      segments_g1/bucket=b/    (one per tiered add since the last fold)
       stats/df.parquet  stats/docstats.parquet
-      stats/df_g1.parquet  stats/docstats_g1.parquet  (tiered mode)
+      stats/df_g1.parquet  stats/docstats_g1.parquet  (tiered adds)
+
+One path for every maintenance op. A full add, ``compact_tiers`` and
+``deletes.compact`` each make their own change (record a generation,
+fold the tiered generations, swap in a filtered generation), retire the
+derived stages with :func:`retire_derived` in the SAME atomic manifest
+write, then call :func:`finish_add`. ``finish_add`` resumes
+``build.build_index`` with ``corpus=None``: stages B-E rerun over the
+recorded generations exactly as a build's resume would, and at ``done``
+every generation path the manifest no longer names is removed.
 
 Crash safety: a new generation dir is written to ``<dir>.writing`` and
-renamed into place BEFORE the manifest records it; the manifest update
-clears the segment/stats stage marks in the same atomic write that adds
-the generation. A crash after that point leaves a manifest with
-``done=False`` — rerun ``finish_add(index_dir)`` (or ``add_documents``
-with ``new_corpus=None``) to redo the merge from the recorded
-generations. Re-running ``add_documents`` with the same corpus instead
-would double-add it; the doc-range check below rejects that.
+renamed into place BEFORE the manifest records it. A crash after the
+retiring manifest write leaves ``done=False``; rerun
+``finish_add(index_dir)`` (or ``add_documents`` with ``new_corpus=None``,
+or ``compact_tiers``) to finish the rebuild and remove the stale paths.
+Re-running ``add_documents`` with the same corpus instead would double-
+add it; the doc-range check below rejects that.
 
 Scale shape: tokenize streams over the new docs only; the merge is one
 groupby shuffle over compressed runs (bytes per posting, not rows); no
 stage materializes the corpus.
 
-Two compaction modes (round-4 verdict 'what's wrong' #3 — the default
-mode re-merges ALL generations on every add, one full-index-sized
-shuffle per add):
+Two add modes (the full mode re-merges ALL generations on every add,
+one full-index-sized shuffle per add):
 
 - ``mode="full"`` (default): exact, everything rebuilt — segments, df,
-  docstats/norms. Every query tier (WAND, tfidf, bulk, resident) works
-  immediately; cost is O(index) per add.
+  docstats/norms, and any tiered generations folded in. Every query
+  tier (WAND, tfidf, bulk, resident) works immediately; cost is
+  O(index) per add.
 - ``mode="tiered"`` (Lucene-style log-structured): the new generation
   gets its OWN segments + stats built from ONLY its postings — the
   merge shuffle input is the new docs' runs, never the existing index
@@ -65,6 +74,7 @@ shuffle per add):
 
 from __future__ import annotations
 
+import glob
 import os
 import shutil
 import time
@@ -73,8 +83,8 @@ import pyarrow.dataset as pads
 import ray.data as rd
 from ray.data.aggregate import Max, Min
 
-from pyfuseray.build import _segment_checksums
-from pyfuseray.checkpoint import BucketEntry, Manifest, load_manifest, save_manifest
+from pyfuseray.build import SEGMENT_WRITE, _sort_block_by_term, build_index
+from pyfuseray.checkpoint import Manifest, load_manifest, save_manifest
 from pyfuseray.postings import tokenize_batch
 from pyfuseray.segments import build_bucket_segment
 from pyfuseray.stats import df_dataset, docstats_dataset, total_tokens
@@ -170,10 +180,11 @@ def add_documents(
     ``new_corpus=None`` redoes the merge/stats from the generations the
     manifest already records (crash repair — see module docstring).
 
-    ``mode``: "full" re-merges every generation (exact, O(index) per
-    add); "tiered" builds the new generation's own segments only
-    (O(new docs) per add, see module docstring for the staleness
-    gates) and auto-compacts once ``max_generations`` tiered
+    ``mode``: "full" records the generation, retires the derived stages
+    and re-merges every generation through ``finish_add`` (exact,
+    O(index) per add); "tiered" builds the new generation's own
+    segments only (O(new docs) per add, see module docstring for the
+    staleness gates) and auto-compacts once ``max_generations`` tiered
     generations accumulate.
     """
     assert mode in ("full", "tiered")
@@ -222,33 +233,26 @@ def add_documents(
     )
     runs.write_parquet(tmp, partition_cols=["bucket"])
     os.replace(tmp, gen_dir)
-    new_total = total_tokens(rd.read_parquet(gen_dir, columns=["cf"]))
 
     if mode == "tiered":
+        new_total = total_tokens(rd.read_parquet(gen_dir, columns=["cf"]))
         return _register_tiered_generation(
             index_dir, m, gen_name, n_new, new_total, t0, max_generations,
             dense_ids,
         )
 
-    # ONE atomic manifest write: record the generation AND invalidate
-    # the segment/stats stages it obsoletes
-    gens.append(gen_name)
-    m.generations = gens
+    # ONE atomic manifest write: record the generation AND retire the
+    # stages it obsoletes (finish_add restates avgdl from the runs)
+    m.generations = gens + [gen_name]
     m.n_docs += n_new
-    m.total_postings += new_total
-    m.avgdl = (m.total_postings / m.n_docs) if m.n_docs else 0.0
-    m.buckets = {}
-    for stage in ("df", "docstats", "compression", "done"):
-        m.stages.pop(stage, None)
+    retire_derived(m)
     m.mark_stage(
-        f"add_g{len(gens) - 1}",
+        f"add_g{len(gens)}",
         wall_s=round(time.perf_counter() - t0, 3),
         n_new=n_new,
-        new_tokens=new_total,
         dense_ids=dense_ids,
     )
     save_manifest(index_dir, m)
-
     return finish_add(index_dir)
 
 
@@ -267,9 +271,6 @@ def _register_tiered_generation(
     The index stays ``done`` (queryable) throughout; a crash before the
     manifest write leaves only inert orphan dirs that the next attempt
     overwrites."""
-    from pyfuseray.build import _sort_block_by_term
-    from pyfuseray.segments import build_bucket_segment
-
     gen_dir = os.path.join(index_dir, gen_name)
     seg_name = "segments_" + gen_name.removeprefix("postings_raw_")
     seg_dir = os.path.join(index_dir, seg_name)
@@ -290,10 +291,7 @@ def _register_tiered_generation(
     shutil.rmtree(seg_dir, ignore_errors=True)
     seg.map_batches(
         _sort_block_by_term, batch_format="pyarrow", batch_size=None
-    ).write_parquet(
-        seg_tmp, partition_cols=["bucket"],
-        max_rows_per_file=4096, row_group_size=256,
-    )
+    ).write_parquet(seg_tmp, **SEGMENT_WRITE)
     os.replace(seg_tmp, seg_dir)
 
     df_path, docstats_path = seg_stat_paths(index_dir, seg_name)
@@ -333,104 +331,54 @@ def _register_tiered_generation(
 
 def compact_tiers(index_dir: str) -> Manifest:
     """Fold every tiered segment generation back into ONE exact segment
-    set (== fresh build over the concatenated corpus): clears the
-    derived stages and reruns the full merge over all postings
-    generations, then removes the per-generation segment/stat dirs.
-    After this, every gated tier (WAND, tfidf, bulk, resident) works
-    again."""
+    set (== fresh build over the concatenated corpus): retires the
+    derived stages, then ``finish_add`` reruns the full merge over all
+    postings generations and removes the per-generation segment/stat
+    dirs. After this, every gated tier (WAND, tfidf, bulk, resident)
+    works again. On an index with no tiered generation left (say, after
+    a crash inside the fold) it only calls ``finish_add``."""
     m = load_manifest(index_dir)
     if m is None:
         raise FileNotFoundError(f"no index manifest in {index_dir}")
     seg_gens = _seg_generations(m)
-    if not seg_gens:
-        return m
-    stale_paths = [os.path.join(index_dir, s) for s in seg_gens]
-    for s in seg_gens:
-        stale_paths.extend(seg_stat_paths(index_dir, s))
-    m.seg_generations = []
+    if seg_gens:
+        retire_derived(m)
+        m.mark_stage("compact_tiers", folded=seg_gens)
+        save_manifest(index_dir, m)
+    return finish_add(index_dir)
+
+
+def retire_derived(m: Manifest) -> None:
+    """Drop every stage derived from the postings generations: avgdl,
+    segments (bucket marks and tiered segment generations), df,
+    docstats, compression and done. The caller saves it in the SAME
+    atomic manifest write as its own change, then calls ``finish_add``
+    to rebuild them."""
     m.buckets = {}
-    for stage in ("df", "docstats", "compression", "done"):
+    m.seg_generations = []
+    for stage in ("avgdl", "df", "docstats", "compression", "done"):
         m.stages.pop(stage, None)
-    m.mark_stage("compact_tiers", folded=seg_gens)
-    save_manifest(index_dir, m)
-    m = finish_add(index_dir)
-    for p in stale_paths:
-        shutil.rmtree(p, ignore_errors=True)
-    return m
 
 
 def finish_add(index_dir: str) -> Manifest:
-    """Redo merge + stats over all recorded postings generations."""
+    """Bring the index to ``done``: resume ``build_index`` on the postings
+    generations the manifest records, then remove every generation path
+    (``postings_raw*``, ``segments_g*``, ``stats/{df,docstats}_g*``) the
+    manifest no longer names. Idempotent; repairs a maintenance op that
+    crashed after its retiring manifest write."""
     m = load_manifest(index_dir)
     if m is None:
         raise FileNotFoundError(f"no index manifest in {index_dir}")
-    if m.stage_done("done"):
-        return m
-    gens = _generations(m)
-    segments_dir = os.path.join(index_dir, "segments")
-    stats_dir = os.path.join(index_dir, "stats")
-
-    parts = [rd.read_parquet(os.path.join(index_dir, g)) for g in gens]
-    postings_all = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-
-    t0 = time.perf_counter()
-    if os.path.exists(segments_dir):
-        shutil.rmtree(segments_dir)
-    seg = build_bucket_segment(
-        postings_all,
-        n_docs=m.n_docs,
-        avgdl=m.avgdl,
-        num_salts=m.num_salts,
-        block_size=m.block_size or None,
-    )
-    seg_mem = seg.sort("term").materialize()
-    seg_mem.write_parquet(
-        segments_dir, partition_cols=["bucket"],
-        # same layout as build_index's fresh write
-        max_rows_per_file=4096, row_group_size=256,
-    )
-    sums = _segment_checksums(seg_mem)
-    stage_ms = round((time.perf_counter() - t0) * 1000, 1)
-    for k in range(m.num_buckets):
-        part_dir = os.path.join(segments_dir, f"bucket={k}")
-        checksum, rows, n_postings = sums.get(k, (0, 0, 0))
-        m.mark_bucket(
-            BucketEntry(k, part_dir, rows, int(n_postings), str(checksum), stage_ms)
+    if not m.stage_done("done"):
+        m = build_index(
+            None, index_dir, num_buckets=m.num_buckets, num_salts=m.num_salts,
+            block_size=m.block_size or None, analyzer=m.analyzer,
         )
-    save_manifest(index_dir, m)
-
-    t0 = time.perf_counter()
-    path = os.path.join(stats_dir, "df.parquet")
-    if os.path.exists(path):
-        shutil.rmtree(path)
-    df_dataset(seg_mem).write_parquet(path)
-    m.mark_stage("df", wall_s=round(time.perf_counter() - t0, 3))
-    save_manifest(index_dir, m)
-
-    t0 = time.perf_counter()
-    path = os.path.join(stats_dir, "docstats.parquet")
-    if os.path.exists(path):
-        shutil.rmtree(path)
-    # docstats reads the persisted files (canonical block structure both
-    # fresh and resumed builds agree on — see build.py stage D)
-    segments_disk = rd.read_parquet(segments_dir)
-    docstats_dataset(segments_disk, m.n_docs).sort("doc_id").write_parquet(path)
-    m.mark_stage("docstats", wall_s=round(time.perf_counter() - t0, 3))
-    save_manifest(index_dir, m)
-
-    total_postings = sum(int(v["n_postings"]) for v in m.buckets.values())
-    blob_bytes = 0
-    for dirpath, _, files in os.walk(segments_dir):
-        for f in files:
-            if f.endswith(".parquet"):
-                blob_bytes += os.path.getsize(os.path.join(dirpath, f))
-    m.mark_stage(
-        "compression",
-        segment_bytes=blob_bytes,
-        fixed_width_bytes=total_postings * 8,
-        bytes_per_posting=round(blob_bytes / max(1, total_postings), 3),
-        ratio_vs_fixed8=round((total_postings * 8) / max(1, blob_bytes), 2),
-    )
-    m.mark_stage("done")
-    save_manifest(index_dir, m)
+    seg_gens = _seg_generations(m)
+    keep = {os.path.join(index_dir, g) for g in _generations(m) + seg_gens}
+    keep.update(p for s in seg_gens for p in seg_stat_paths(index_dir, s))
+    for pattern in ("postings_raw*", "segments_g*", "stats/df_g*",
+                    "stats/docstats_g*"):
+        for p in set(glob.glob(os.path.join(index_dir, pattern))) - keep:
+            shutil.rmtree(p)
     return m

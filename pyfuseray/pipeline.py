@@ -16,7 +16,7 @@ from pyfuseray.build import build_index
 from pyfuseray.checkpoint import Manifest
 from pyfuseray.docids import assign_doc_ids, dedup_keep_first
 from pyfuseray.extract import extract_batch
-from pyfuseray.query import IndexSearcher
+from pyfuseray.query import IndexSearcher, read_footers
 
 
 def pages_to_corpus(pages: rd.Dataset, *, dedup: bool = True) -> rd.Dataset:
@@ -362,7 +362,13 @@ def _resumable_write_first(
                 manifest = json.load(fh)
         except (json.JSONDecodeError, OSError):
             manifest = None
-        if manifest is not None and manifest.get("sig") != sig:
+        old = (manifest or {}).get("sig") or {}
+        if all(old.get(k) == sig[k] for k in ("files", "n_groups", "n_docs")):
+            # same input: keep the recorded range count (the finished
+            # groups' range_bucket partitions use it), whatever the
+            # CPU count of this cluster
+            n_ranges = sig["n_ranges"] = old.get("n_ranges", n_ranges)
+        else:
             manifest = None  # input changed: restart cleanly
     if manifest is None:
         if os.path.exists(pre):
@@ -706,7 +712,7 @@ def append_pages(
     from pyfuseray.checkpoint import load_manifest
     from pyfuseray.docids import apply_ingest_plan, plan_ingest_broadcast
     from pyfuseray.extras.joins import anti_join
-    from pyfuseray.incremental import _generations, _max_doc_id, add_documents
+    from pyfuseray.incremental import _generations, add_documents
 
     m = load_manifest(index_dir)
     if m is None or not m.stage_done("done"):
@@ -760,7 +766,10 @@ def append_pages(
         ]
         existing = rd.read_parquet(url_files, columns=["url"])
         fresh = anti_join(extracted, existing, left_on="url")
-        base = _max_doc_id(index_dir) + 1
+        # one above every corpus doc_id (footer statistics, kept by
+        # CORPUS_WRITE): docstats has no row for a token-less doc
+        base = 1 + max((r[1] for _, _, rs in read_footers(url_files, "doc_id")
+                        for r in rs if r), default=-1)
 
         def shift_ids(batch: pa.Table) -> pa.Table:
             ids = batch.column("doc_id").to_numpy(zero_copy_only=False) + base

@@ -202,3 +202,55 @@ def test_delete_highest_appended_id(ray_session, tmp_path):
                for q in QUERIES)
     assert compact(ix).n_docs == len(docs) - 1
     assert_matches_oracle(ix, docs[:-1])
+
+
+def test_append_after_tokenless_highest_doc_keeps_ids_unique(
+    ray_session, tmp_path
+):
+    """New docs are numbered above every CORPUS doc_id: the highest doc
+    has no indexed token (no docstats row), and its id must not be
+    handed out again."""
+    import pyarrow as pa
+
+    from pyfuseray.checkpoint import load_manifest
+    from pyfuseray.incremental import ids_dense
+    from pyfuseray.oracle import OracleIndex
+
+    a = synth_pages(20, seed=21, null_text_frac=0.0)
+    last = a.column("url").to_pylist().index(max(a.column("url").to_pylist()))
+    texts = a.column("text").to_pylist()
+    htmls = a.column("html").to_pylist()
+    texts[last], htmls[last] = "", b"<html><body></body></html>"
+    a = a.set_column(a.schema.get_field_index("text"), "text",
+                     pa.array(texts, pa.string()))
+    a = a.set_column(a.schema.get_field_index("html"), "html",
+                     pa.array(htmls, pa.binary()))
+    b = synth_pages(5, seed=22, null_text_frac=0.0, id_offset=10_000)
+    _write_pages(a, str(tmp_path / "pa"))
+    _write_pages(b, str(tmp_path / "pb"))
+    ix, cdir = str(tmp_path / "ix"), str(tmp_path / "c")
+    build_from_pages(str(tmp_path / "pa"), ix, corpus_dir=cdir,
+                     num_buckets=4, overwrite=True)
+    append_pages(ix, str(tmp_path / "pb"), corpus_dir=cdir)
+
+    corpus = pads.dataset(os.path.join(cdir, "corpus")).to_table()
+    top = corpus.column("doc_id").to_pylist().index(
+        max(corpus.column("doc_id").to_pylist()))
+    assert corpus.column("text")[top].as_py() == ""  # the scenario holds
+    rows = {}
+    for d in ("corpus", "append_g1"):
+        t = pads.dataset(os.path.join(cdir, d)).to_table(
+            columns=["doc_id", "text"])
+        for i, txt in zip(t.column("doc_id").to_pylist(),
+                          t.column("text").to_pylist()):
+            assert i not in rows, f"doc_id {i} appears twice"
+            rows[i] = txt or ""
+    m = load_manifest(ix)
+    assert len(rows) == m.n_docs == 25
+    assert ids_dense(m)
+    oracle = OracleIndex().build(sorted(rows.items()))
+    s = IndexSearcher(ix)
+    for q in QUERIES:
+        want, got = oracle.search_bm25(q, 10), s.search_bm25(q, 10)
+        assert [d for d, _ in got] == [d for d, _ in want], q
+        assert all(abs(x - y) < 1e-9 for (_, x), (_, y) in zip(got, want)), q

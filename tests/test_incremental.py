@@ -112,23 +112,108 @@ def test_overlapping_doc_ids_rejected(built):
         add_documents(inc, _ds(["dup doc"], 0))
 
 
-def test_finish_add_repairs_interrupted_add(built, tmp_path):
-    """Simulate a crash after the manifest recorded the generation but
-    before the merge: done=False manifests are repaired by finish_add."""
-    _, inc, _ = built
-    # clone the index dir, then wreck the segments + done mark
+def _unnamed_paths(index_dir):
+    """Index entries the manifest does not name."""
+    from pyfuseray.incremental import _generations, seg_stat_paths
+
+    m = load_manifest(index_dir)
+    named = {"manifest.json", "segments", "stats",
+             *_generations(m), *m.seg_generations}
+    named_stats = {"df.parquet", "docstats.parquet"} | {
+        os.path.basename(p) for s in m.seg_generations
+        for p in seg_stat_paths(index_dir, s)
+    }
+    if m.n_deleted:
+        named_stats.add("deleted.parquet")
+    return [d for d in os.listdir(index_dir) if d not in named] + [
+        f for f in os.listdir(os.path.join(index_dir, "stats"))
+        if f not in named_stats
+    ]
+
+
+def _crash_after_retire(monkeypatch):
+    """Make the first manifest save after a maintenance op's retiring
+    write (the one that drops the avgdl stage) raise."""
+    from pyfuseray import build, checkpoint, deletes, incremental
+
+    real = checkpoint.save_manifest
+    retired = []
+
+    def save(index_dir, m):
+        if retired:
+            raise RuntimeError("simulated crash")
+        real(index_dir, m)
+        if "avgdl" not in m.stages:
+            retired.append(True)
+
+    for mod in (build, incremental, deletes):
+        monkeypatch.setattr(mod, "save_manifest", save)
+
+
+@pytest.mark.parametrize("op", ["wreck", "full_add", "compact_tiers", "compact"])
+def test_finish_add_repairs_interrupted_add(built, tmp_path, monkeypatch, op):
+    """A crash after the manifest recorded the op but before the merge
+    finished leaves done=False; finish_add (a compact_tiers rerun for
+    compact_tiers) repairs it to the oracle's answers over the live docs
+    and removes every path the manifest no longer names. ``wreck``
+    instead drops the segments and the done mark by hand."""
     import shutil
 
+    from pyfuseray.deletes import compact, delete_documents
+    from pyfuseray.incremental import compact_tiers
+    from pyfuseray.oracle import OracleIndex
+
+    _, inc, _ = built
     broken = str(tmp_path / "broken")
     shutil.copytree(inc, broken)
-    mpath = os.path.join(broken, "manifest.json")
-    man = json.load(open(mpath))
-    man["stages"].pop("done")
-    man["buckets"] = {}
-    json.dump(man, open(mpath, "w"))
-    shutil.rmtree(os.path.join(broken, "segments"))
-    with pytest.raises(RuntimeError, match="mid-add"):
-        add_documents(broken, _ds(["more"], 10_000))
-    m = finish_add(broken)
-    assert m.stage_done("done")
-    assert _decoded_postings(broken) == _decoded_postings(inc)
+    if op == "wreck":
+        mpath = os.path.join(broken, "manifest.json")
+        man = json.load(open(mpath))
+        man["stages"].pop("done")
+        man["buckets"] = {}
+        json.dump(man, open(mpath, "w"))
+        shutil.rmtree(os.path.join(broken, "segments"))
+        with pytest.raises(RuntimeError, match="mid-add"):
+            add_documents(broken, _ds(["more"], 10_000))
+        m = finish_add(broken)
+        assert m.stage_done("done")
+        assert _decoded_postings(broken) == _decoded_postings(inc)
+        return
+
+    docs = dict(enumerate(_texts()))
+    extra = _texts(30, seed=8)
+    if op == "compact":
+        dead = list(range(0, len(docs), 9))
+        delete_documents(broken, dead)
+        for d in dead:
+            del docs[d]
+    else:
+        add_documents(broken, _ds(extra[:15], len(docs)), mode="tiered",
+                      max_generations=10)
+        docs.update(enumerate(extra[:15], len(docs)))
+    _crash_after_retire(monkeypatch)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        if op == "full_add":
+            add_documents(broken, _ds(extra[15:], len(docs)))
+        elif op == "compact_tiers":
+            compact_tiers(broken)
+        else:
+            compact(broken)
+    monkeypatch.undo()
+    if op == "full_add":
+        docs.update(enumerate(extra[15:], len(docs)))
+    assert not load_manifest(broken).stage_done("done")
+    m = compact_tiers(broken) if op == "compact_tiers" else finish_add(broken)
+
+    assert m.stage_done("done") and m.n_docs == len(docs)
+    assert _unnamed_paths(broken) == []
+    oracle = OracleIndex().build(sorted(docs.items()))
+    s = IndexSearcher(broken)
+    for q in QUERIES:
+        pairs = [(oracle.search_bm25(q, 10), s.search_bm25(q, 10, algorithm=a))
+                 for a in ("taat", "wand")]
+        pairs.append((oracle.search_tfidf(q, 10), s.search_tfidf(q, 10)))
+        for want, got in pairs:
+            assert [d for d, _ in got] == [d for d, _ in want], (q, op)
+            assert all(abs(x - y) < 1e-9
+                       for (_, x), (_, y) in zip(got, want)), (q, op)

@@ -64,7 +64,14 @@ def test_crash_resume_identical(ray_session, pages_dir, tmp_path, monkeypatch):
 
     # resume: finished groups are skipped (their extract never reruns —
     # the manifest writer only sees NEW groups), the rest complete, and
-    # the final index matches the uninterrupted build
+    # the final index matches the uninterrupted build. The resumed run
+    # sees another CPU count, which must not change the recorded range
+    # count (and with it void the finished groups).
+    import ray
+
+    real_resources = ray.cluster_resources
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {
+        **real_resources(), "CPU": 2 * real_resources().get("CPU", 4)})
     resumed_groups = []
 
     def recording(path, obj):
@@ -78,9 +85,15 @@ def test_crash_resume_identical(ray_session, pages_dir, tmp_path, monkeypatch):
         ingest_groups=4, ingest_concurrency=1, num_buckets=2,
     )
     monkeypatch.setattr(pipeline, "_atomic_json", real)
+    monkeypatch.setattr(ray, "cluster_resources", real_resources)
     assert 0 not in resumed_groups and 1 not in resumed_groups
     assert set(resumed_groups) >= {2, 3}
     assert _checksums(m2) == _checksums(ref)
+    import pyarrow.dataset as pads
+
+    assert pads.dataset(str(tmp_path / "corp" / "corpus")).to_table().equals(
+        pads.dataset(str(tmp_path / "corp_ref" / "corpus")).to_table()
+    )
     assert m2.n_docs == ref.n_docs
     # pre/ + manifest are cleaned up once the final corpus lands
     assert not pre.exists() and not man.exists()

@@ -208,3 +208,79 @@ def test_tombstone_compact_consolidates_tiers(ray_session, tmp_path):
     s1, s2 = IndexSearcher(one), IndexSearcher(ix)
     for q in QUERIES:
         assert s2.search_bm25(q, 10) == s1.search_bm25(q, 10), q
+
+
+def _assert_folded_and_same(ix, pairs):
+    """No tiered generation is left in ``ix``, and each (want, got)
+    top-k pair has identical ids and scores within 1e-9."""
+    assert load_manifest(ix).seg_generations == []
+    assert not any(d.startswith("segments_g") for d in os.listdir(ix))
+    for q, want, got in pairs:
+        assert [d for d, _ in got] == [d for d, _ in want], q
+        assert all(abs(x - y) < 1e-9 for (_, x), (_, y) in zip(got, want)), q
+
+
+def test_full_add_after_tiered_add_equals_fresh_build(ray_session, tmp_path):
+    """A full add folds the tiered generations a tiered add left: the
+    index equals a fresh build over every doc."""
+    texts = _texts(20, seed=17)
+    ix = str(tmp_path / "ix")
+    build_index(_ds(texts[:10], 0), ix, num_buckets=4)
+    add_documents(ix, _ds(texts[10:15], 10), mode="tiered", max_generations=10)
+    m = add_documents(ix, _ds(texts[15:], 15))
+    assert m.generations == ["postings_raw", "postings_raw_g1", "postings_raw_g2"]
+    one = str(tmp_path / "one")
+    build_index(_ds(texts, 0), one, num_buckets=4)
+    s1, s2 = IndexSearcher(one), IndexSearcher(ix)
+    _assert_folded_and_same(ix, [
+        (q, f(s1, q), f(s2, q))
+        for q in QUERIES + ["fox dog"]
+        for f in (lambda s, q: s.search_bm25(q, 10, algorithm="taat"),
+                  lambda s, q: s.search_bm25(q, 10, algorithm="wand"),
+                  lambda s, q: s.search_tfidf(q, 10))
+    ])
+
+
+def test_full_append_after_tiered_append_matches_oracle(ray_session, tmp_path):
+    """The same through append_pages: tiered append, then full append;
+    the index answers like the oracle over every corpus doc."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    from pyfuseray.oracle import OracleIndex
+    from pyfuseray.pipeline import append_pages, build_from_pages
+
+    cdir = str(tmp_path / "c")
+    ix = str(tmp_path / "ix")
+    for g, (n, seed) in enumerate(((40, 5), (20, 6), (20, 7))):
+        pages = str(tmp_path / f"pages{g}")
+        os.makedirs(pages)
+        pq.write_table(
+            synth_pages(n, seed=seed, null_text_frac=0.1,
+                        id_offset=1000 * g),
+            os.path.join(pages, "part-0.parquet"),
+        )
+        if g == 0:
+            build_from_pages(pages, ix, corpus_dir=cdir, num_buckets=4)
+        else:
+            append_pages(ix, pages, corpus_dir=cdir,
+                         mode="tiered" if g == 1 else "full",
+                         max_generations=10)
+    docs = pa.concat_tables(
+        pads.dataset(os.path.join(cdir, d)).to_table(columns=["doc_id", "text"])
+        for d in ("corpus", "append_g1", "append_g2")
+    )
+    ids = docs.column("doc_id").to_pylist()
+    assert len(ids) == len(set(ids)) == load_manifest(ix).n_docs
+    oracle = OracleIndex().build(
+        list(zip(ids, (t or "" for t in docs.column("text").to_pylist())))
+    )
+    s = IndexSearcher(ix)
+    _assert_folded_and_same(ix, [
+        pair
+        for q in QUERIES
+        for pair in ((q, oracle.search_bm25(q, 10), s.search_bm25(q, 10)),
+                     (q, oracle.search_bm25(q, 10),
+                      s.search_bm25(q, 10, algorithm="wand")),
+                     (q, oracle.search_tfidf(q, 10), s.search_tfidf(q, 10)))
+    ])
