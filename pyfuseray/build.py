@@ -169,6 +169,13 @@ SEGMENT_WRITE = {
     "row_group_size": 256,
 }
 
+# every docstats write (the runs route, the canonical segments decode
+# and a tiered add's sidecar): a sort("doc_id") leaves one output block
+# per input block, so without a floor a resume's many small read blocks
+# become as many tiny files; one file per million docs keeps the
+# searcher's whole-table load to a few reads
+DOCSTATS_WRITE = {"min_rows_per_file": 1 << 20}
+
 
 def _read_generations(dirs: list[str], **kwargs) -> rd.Dataset:
     """The union of the run rows under ``dirs`` (one dir per postings
@@ -435,7 +442,7 @@ def build_index(
             def _write_docstats():
                 docstats_from_runs(postings_mem, n_docs, df_tbl).sort(
                     "doc_id"
-                ).write_parquet(stats_path)
+                ).write_parquet(stats_path, **DOCSTATS_WRITE)
 
             docstats_thread = start_side(_write_docstats, docstats_err)
 
@@ -665,7 +672,7 @@ def build_index(
                         segments_dir, override_num_blocks=max(1, 8 * n_cpu)
                     )
                     stats_ds = docstats_dataset(segments_disk, n_docs)
-                stats_ds.sort("doc_id").write_parquet(stats_path)
+                stats_ds.sort("doc_id").write_parquet(stats_path, **DOCSTATS_WRITE)
                 m.mark_stage("docstats", wall_s=round(time.perf_counter() - t0, 3))
                 save_manifest(out_dir, m)
 

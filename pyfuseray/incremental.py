@@ -83,7 +83,9 @@ import pyarrow.dataset as pads
 import ray.data as rd
 from ray.data.aggregate import Max, Min
 
-from pyfuseray.build import SEGMENT_WRITE, _sort_block_by_term, build_index
+from pyfuseray.build import (
+    DOCSTATS_WRITE, SEGMENT_WRITE, _sort_block_by_term, build_index,
+)
 from pyfuseray.checkpoint import Manifest, load_manifest, save_manifest
 from pyfuseray.postings import tokenize_batch
 from pyfuseray.segments import build_bucket_segment
@@ -304,7 +306,7 @@ def _register_tiered_generation(
     # dl is exact; the norm column is computed against this generation's
     # own df (tfidf is gated until compact_tiers — module docstring)
     docstats_dataset(seg_disk, new_n_docs).sort("doc_id").write_parquet(
-        docstats_path + ".writing"
+        docstats_path + ".writing", **DOCSTATS_WRITE
     )
     os.replace(docstats_path + ".writing", docstats_path)
 

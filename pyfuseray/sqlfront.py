@@ -9,12 +9,15 @@ or end-of-string, and parse errors fall back to
 Execution (reference ``app/DataLoader.py:128-179``): like_term -> index
 top-k search -> doc_id -> row materialization (the form of
 ``self.data.iloc[doc_id]``, reference J1: the corpus is doc_id-sorted
-and written in 64-row groups (``pipeline.CORPUS_WRITE``), so each
-file's footer ``doc_id`` min/max names the few row groups that can hold
-the top-k ids, and only those groups' ``doc_id`` and selected columns
-are read — ``query.read_matching``; the footers are cached on the
-``IndexSearcher``, see ``IndexSearcher.corpus_footers``) -> field
-aliasing and projection (``app/DataLoader.py:133-147``) -> score column
+and written in LZ4-compressed 64-row groups (``pipeline.CORPUS_WRITE``),
+so each file's footer ``doc_id`` min/max names the few row groups that
+can hold the top-k ids, and only those groups' ``doc_id`` and selected
+columns are read and decoded — ``query.read_matching``; the file list
+is walked per call with ``pads.dataset``'s rules, the footers and the
+schema come from the ``IndexSearcher``'s cache, see
+``IndexSearcher.corpus_footers``; no dataset is built except for a
+scan without LIKE) -> field aliasing and projection
+(``app/DataLoader.py:133-147``) -> score column
 appended (float plus the reference's ``f"{score:.2f}"`` string,
 ``app/DataLoader.py:173``).
 
@@ -25,6 +28,7 @@ LIKE-conjunction — the relational baseline for the oracle harness.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import pyarrow as pa
@@ -136,6 +140,24 @@ def _conform(tbl: pa.Table, schema: pa.Schema) -> pa.Table:
     )
 
 
+def _corpus_files(corpus_path: str | list[str]) -> list[str]:
+    """The parquet files of ``corpus_path`` as ``pads.dataset`` lists
+    them: a list passes through, a file is itself, a directory is walked
+    recursively, skipping every file or subdirectory whose name starts
+    with ``.`` or ``_`` (``_SUCCESS``, in-progress writes), in sorted
+    path order."""
+    if isinstance(corpus_path, (list, tuple)):
+        return list(corpus_path)
+    if not os.path.isdir(corpus_path):
+        return [corpus_path]
+    out = []
+    for dirpath, dirs, files in os.walk(corpus_path):
+        dirs[:] = [d for d in dirs if not d.startswith((".", "_"))]
+        out.extend(os.path.join(dirpath, f) for f in files
+                   if not f.startswith((".", "_")))
+    return sorted(out)
+
+
 def execute_sql(
     query: str,
     index_dir: str,
@@ -151,13 +173,14 @@ def execute_sql(
     ``corpus_path`` is a corpus directory, a parquet file, or a list of
     parquet files (a pages corpus plus its ``append_gK/`` files). A
     passed ``searcher`` keeps the corpus footers across calls
-    (:meth:`IndexSearcher.corpus_footers`)."""
+    (:meth:`IndexSearcher.corpus_footers`); the corpus schema is the
+    first file's, as a dataset scan takes it."""
     aliases = {**DEFAULT_ALIASES, **(aliases or {})}
     p = parse_query(query)
     k = p.limit or top_k
     s = searcher or IndexSearcher(index_dir)
-    corpus = pads.dataset(corpus_path, format="parquet")
-    schema = corpus.schema
+    footers = s.corpus_footers(_corpus_files(corpus_path))
+    schema = footers[0][1].schema.to_arrow_schema() if footers else pa.schema([])
     star = p.fields == ["*"]
     cols = schema.names if star else [aliases.get(f, f) for f in p.fields]
     missing = [c for c in cols if c not in schema.names]
@@ -169,14 +192,14 @@ def execute_sql(
 
     if not p.like_term:
         # plain scan: SELECT fields FROM t [LIMIT n]
-        return project(corpus.head(k))
+        return project(pads.dataset(corpus_path, format="parquet").head(k))
     hits = (
         s.search_bm25(p.like_term, k)
         if scoring == "bm25"
         else s.search_tfidf(p.like_term, k)
     )
     if not hits:
-        empty = project(corpus.head(0))
+        empty = project(schema.empty_table())
         empty = empty.append_column("score", pa.array([], type=pa.float64()))
         return empty.append_column("score_fmt", pa.array([], type=pa.string()))
     # broadcast-small-side join: top-k ids are tiny; read doc_id plus the
@@ -188,8 +211,7 @@ def execute_sql(
         [schema.field(c) for c in dict.fromkeys(["doc_id", *cols])]
     )
     parts = read_matching(
-        s.corpus_footers(corpus.files), "doc_id", [d for d, _ in hits],
-        columns=read.names,
+        footers, "doc_id", [d for d, _ in hits], columns=read.names,
     )
     full = pa.concat_tables(
         [_conform(t, read) for t in parts] or [read.empty_table()]

@@ -215,7 +215,8 @@ def test_corpus_files_use_small_row_groups_without_text_statistics(
         corpus_routes, route):
     """Every corpus writer uses pipeline.CORPUS_WRITE: row groups of at
     most 64 rows, doc_id min/max in every row group (SQL materialize
-    prunes on it), no statistics on text."""
+    prunes on it), no statistics on text, every column chunk LZ4 (the
+    ``text`` decode is most of a SQL materialize)."""
     if route == "append_pages":
         files = _parquet_files(os.path.join(corpus_routes["materialize"][1],
                                             "append_g1"))
@@ -233,6 +234,8 @@ def test_corpus_files_use_small_row_groups_without_text_statistics(
             assert st["doc_id"] is not None and st["doc_id"].has_min_max, (f, g)
             assert st["url"] is not None and st["url"].has_min_max, (f, g)
             assert st["text"] is None or not st["text"].has_min_max, (f, g)
+            assert {rg.column(j).compression
+                    for j in range(rg.num_columns)} == {"LZ4"}, (f, g)
             n_groups += 1
     # the layout is exercised, not just one group per file
     assert n_groups > len(files)

@@ -349,3 +349,55 @@ def test_corpus_footer_cache_follows_added_and_rewritten_files(
     # files no longer listed are dropped
     same(base_files)
     assert list(s._corpus_footers) == base_files
+
+
+def test_corpus_listing_and_mixed_codecs(pages_env, tmp_path, monkeypatch):
+    """A corpus dir is listed as a dataset scan lists it (recursive,
+    sorted, names starting with ``.`` or ``_`` skipped), and a corpus
+    whose base files carry the old snappy layout while append_pages'
+    files are LZ4 answers like the old scan and a searcher-less call."""
+    import os
+    import shutil
+
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    from pyfuseray.query import IndexSearcher
+
+    _, _, ix, cdir = pages_env
+    c = str(tmp_path / "c")
+    shutil.copytree(cdir, c)
+    for f in _files(os.path.join(c, "corpus")):  # the pre-LZ4 options
+        pq.write_table(pq.read_table(f), f, row_group_size=64,
+                       write_statistics=["doc_id", "url", "warc_ts"])
+    codecs = {f: pq.read_metadata(f).row_group(0).column(0).compression
+              for f in _files(c)}
+    assert set(codecs.values()) == {"SNAPPY", "LZ4"}
+    appended = _files(os.path.join(c, "append_g1"))
+    assert all(codecs[f] == "LZ4" for f in appended)
+    # debris a scan skips; the hidden copy would duplicate rows if read
+    open(os.path.join(c, "_SUCCESS"), "w").close()
+    shutil.copy(appended[0], os.path.join(c, "append_g1", ".hidden.parquet"))
+    os.makedirs(os.path.join(c, "_tmp"))
+    shutil.copy(appended[0], os.path.join(c, "_tmp", "part.parquet"))
+    listed = pads.dataset(c, format="parquet").files
+    assert listed == sorted(_files(os.path.join(c, "corpus")) + appended)
+
+    footer_reads: list[str] = []
+    real = pq.read_metadata
+
+    def counting(path, *a, **kw):
+        footer_reads.append(path)
+        return real(path, *a, **kw)
+
+    monkeypatch.setattr(pq, "read_metadata", counting)
+    s = IndexSearcher(ix)
+    for q in SQL_QUERIES:
+        sql = f"SELECT * FROM pages LIKE {q}"
+        got = execute_sql(sql, ix, c, scoring="bm25", searcher=s)
+        assert got.equals(execute_sql(sql, ix, c, scoring="bm25")), q
+        want, scores = _isin_materialize(c, s.search_bm25(q, 10))
+        assert got.drop_columns(["score", "score_fmt"]).equals(want), q
+        assert got.column("score").to_pylist() == scores, q
+    assert list(s._corpus_footers) == listed
+    assert {p for p in footer_reads if p.startswith(c)} == set(listed)

@@ -239,6 +239,10 @@ def test_full_add_after_tiered_add_equals_fresh_build(ray_session, tmp_path):
                   lambda s, q: s.search_bm25(q, 10, algorithm="wand"),
                   lambda s, q: s.search_tfidf(q, 10))
     ])
+    # the corpus=None resume writes docstats as one file, not one per
+    # read block
+    files = os.listdir(os.path.join(ix, "stats", "docstats.parquet"))
+    assert len(files) == 1 and files[0].endswith(".parquet"), files
 
 
 def test_full_append_after_tiered_append_matches_oracle(ray_session, tmp_path):
