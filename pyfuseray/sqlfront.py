@@ -143,15 +143,15 @@ def _conform(tbl: pa.Table, schema: pa.Schema) -> pa.Table:
 def _corpus_files(corpus_path: str | list[str]) -> list[str]:
     """The parquet files of ``corpus_path`` as ``pads.dataset`` lists
     them: a list passes through, a file is itself, a directory is walked
-    recursively, skipping every file or subdirectory whose name starts
-    with ``.`` or ``_`` (``_SUCCESS``, in-progress writes), in sorted
-    path order."""
+    recursively, following symlinked subdirectories and skipping every
+    file or subdirectory whose name starts with ``.`` or ``_``
+    (``_SUCCESS``, in-progress writes), in sorted path order."""
     if isinstance(corpus_path, (list, tuple)):
         return list(corpus_path)
     if not os.path.isdir(corpus_path):
         return [corpus_path]
     out = []
-    for dirpath, dirs, files in os.walk(corpus_path):
+    for dirpath, dirs, files in os.walk(corpus_path, followlinks=True):
         dirs[:] = [d for d in dirs if not d.startswith((".", "_"))]
         out.extend(os.path.join(dirpath, f) for f in files
                    if not f.startswith((".", "_")))
@@ -179,7 +179,8 @@ def execute_sql(
     p = parse_query(query)
     k = p.limit or top_k
     s = searcher or IndexSearcher(index_dir)
-    footers = s.corpus_footers(_corpus_files(corpus_path))
+    files = _corpus_files(corpus_path)
+    footers = s.corpus_footers(files)
     schema = footers[0][1].schema.to_arrow_schema() if footers else pa.schema([])
     star = p.fields == ["*"]
     cols = schema.names if star else [aliases.get(f, f) for f in p.fields]
@@ -192,7 +193,7 @@ def execute_sql(
 
     if not p.like_term:
         # plain scan: SELECT fields FROM t [LIMIT n]
-        return project(pads.dataset(corpus_path, format="parquet").head(k))
+        return project(pads.dataset(files, format="parquet").head(k))
     hits = (
         s.search_bm25(p.like_term, k)
         if scoring == "bm25"

@@ -352,8 +352,9 @@ def test_corpus_footer_cache_follows_added_and_rewritten_files(
 
 
 def test_corpus_listing_and_mixed_codecs(pages_env, tmp_path, monkeypatch):
-    """A corpus dir is listed as a dataset scan lists it (recursive,
-    sorted, names starting with ``.`` or ``_`` skipped), and a corpus
+    """A corpus dir is listed as a dataset scan lists it (recursive
+    through symlinked subdirs, sorted, names starting with ``.`` or
+    ``_`` skipped), and a corpus
     whose base files carry the old snappy layout while append_pages'
     files are LZ4 answers like the old scan and a searcher-less call."""
     import os
@@ -375,6 +376,9 @@ def test_corpus_listing_and_mixed_codecs(pages_env, tmp_path, monkeypatch):
     assert set(codecs.values()) == {"SNAPPY", "LZ4"}
     appended = _files(os.path.join(c, "append_g1"))
     assert all(codecs[f] == "LZ4" for f in appended)
+    # a symlinked subdir is listed through the link, as a scan lists it
+    shutil.move(os.path.join(c, "append_g1"), str(tmp_path / "g1"))
+    os.symlink(str(tmp_path / "g1"), os.path.join(c, "append_g1"))
     # debris a scan skips; the hidden copy would duplicate rows if read
     open(os.path.join(c, "_SUCCESS"), "w").close()
     shutil.copy(appended[0], os.path.join(c, "append_g1", ".hidden.parquet"))
@@ -382,6 +386,9 @@ def test_corpus_listing_and_mixed_codecs(pages_env, tmp_path, monkeypatch):
     shutil.copy(appended[0], os.path.join(c, "_tmp", "part.parquet"))
     listed = pads.dataset(c, format="parquet").files
     assert listed == sorted(_files(os.path.join(c, "corpus")) + appended)
+    # the plain scan reads the same listing
+    assert execute_sql("SELECT * FROM pages LIMIT 70", ix, c).equals(
+        pads.dataset(c, format="parquet").head(70))
 
     footer_reads: list[str] = []
     real = pq.read_metadata
