@@ -288,8 +288,8 @@ def build_index(
     m.num_salts = num_salts
     m.block_size = eff_bs
     # the per-block max_bm25 WAND bounds in stage C are computed with
-    # these parameters (segments._bm25_g defaults); record them so the
-    # searcher knows when the bounds are valid
+    # these parameters (scoring.bm25_contrib defaults); record them so
+    # the searcher knows when the bounds are valid
     from pyfuseray.scoring import BM25_B, BM25_K1
 
     m.bm25_k1 = BM25_K1

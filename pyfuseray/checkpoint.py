@@ -70,8 +70,9 @@ class Manifest:
     # "segments_g1"), oldest first; [] means the single "segments" dir.
     # A non-empty list marks a LOG-STRUCTURED index state: the searcher
     # merges a term's rows across generations at query time (BM25/
-    # boolean exact; WAND/tfidf/bulk/resident tiers require
-    # incremental.compact_tiers first). Additive field — pre-existing
+    # boolean exact; WAND falls back to TAAT and the tfidf/bulk/resident
+    # tiers raise via require_single_generation until
+    # incremental.compact_tiers runs). Additive field — pre-existing
     # manifests load as [] — so FORMAT_VERSION stays unchanged.
     seg_generations: list[str] = field(default_factory=list)
     # count of tombstoned doc_ids in stats/deleted.parquet (see
@@ -94,6 +95,19 @@ class Manifest:
 
     def mark_bucket(self, entry: BucketEntry) -> None:
         self.buckets[str(entry.bucket)] = asdict(entry)
+
+
+def require_single_generation(m: Manifest, tier: str) -> None:
+    """The gate every query tier that cannot merge tiered generations
+    calls: on a tiered index (``seg_generations`` non-empty) a term's
+    postings and df are split across generation dirs and the stored
+    norms and block-max bounds reflect superseded global stats, so
+    serving would be silently wrong. Raise with the remedy instead."""
+    if getattr(m, "seg_generations", None):
+        raise RuntimeError(
+            f"{tier} on a tiered multi-generation index: run "
+            "incremental.compact_tiers() first"
+        )
 
 
 def manifest_path(index_dir: str) -> str:

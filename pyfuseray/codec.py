@@ -25,8 +25,11 @@ Block metadata (parallel arrays, one entry per block):
     last_doc:  last (largest) doc_id in the block     -> WAND skipping
     max_tf:    max term frequency in the block        -> TF-IDF block max
                 (TF-IDF weight is monotone in tf for fixed df/N)
-    max_bm25:  exact max BM25 contribution in block   -> block-max WAND
     offset:    byte offset of the block start in blob
+
+The BM25 block bound (``max_bm25``) needs global df and avgdl, so the
+codec does not compute it: ``segments.make_finalize`` derives it from
+``max_tf`` and the runs' per-block ``min_dl`` with ``scoring.bm25_contrib``.
 """
 
 from __future__ import annotations
@@ -90,27 +93,19 @@ class EncodedPostings:
     blob: bytes
     last_doc: np.ndarray   # int64 per block
     max_tf: np.ndarray     # int64 per block
-    max_bm25: np.ndarray   # float64 per block
     offset: np.ndarray     # int64 per block: byte offset into blob
 
 
 def encode_postings(
-    doc_ids: np.ndarray,
-    tfs: np.ndarray,
-    bm25_scores: np.ndarray | None = None,
-    block_size: int = BLOCK_SIZE,
+    doc_ids: np.ndarray, tfs: np.ndarray, block_size: int = BLOCK_SIZE
 ) -> EncodedPostings:
-    """Encode a doc_id-sorted posting list into delta+varbyte blocks.
-
-    ``bm25_scores`` (optional, float64 per posting) feeds the per-block
-    max_bm25 metadata; pass None to store zeros (tfidf-only index).
-    """
+    """Encode a doc_id-sorted posting list into delta+varbyte blocks."""
     doc_ids = np.asarray(doc_ids, dtype=np.int64)
     tfs = np.asarray(tfs, dtype=np.int64)
     n = doc_ids.size
     if n == 0:
         z = np.zeros(0, dtype=np.int64)
-        return EncodedPostings(b"", z, z, z.astype(np.float64), z)
+        return EncodedPostings(b"", z, z, z)
     # deltas, with block-leading positions reset to absolute doc_id
     deltas = np.empty(n, dtype=np.uint64)
     deltas[0] = doc_ids[0]
@@ -126,17 +121,10 @@ def encode_postings(
     cum = np.concatenate(([0], np.cumsum(nbytes)))
     offsets = cum[2 * block_starts]
     # per-block maxima
-    nblocks = block_starts.size
     block_ends = np.minimum(block_starts + block_size, n)
     last_doc = doc_ids[block_ends - 1]
     max_tf = np.maximum.reduceat(tfs, block_starts)
-    if bm25_scores is not None:
-        max_bm25 = np.maximum.reduceat(
-            np.asarray(bm25_scores, dtype=np.float64), block_starts
-        )
-    else:
-        max_bm25 = np.zeros(nblocks, dtype=np.float64)
-    return EncodedPostings(blob, last_doc, max_tf, max_bm25, offsets.astype(np.int64))
+    return EncodedPostings(blob, last_doc, max_tf, offsets.astype(np.int64))
 
 
 def decode_postings(blob: bytes | memoryview, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +199,7 @@ def concat_encoded(parts: list[EncodedPostings]) -> EncodedPostings:
     parts = [p for p in parts if len(p.blob)]
     if not parts:
         z = np.zeros(0, dtype=np.int64)
-        return EncodedPostings(b"", z, z, z.astype(np.float64), z)
+        return EncodedPostings(b"", z, z, z)
     if len(parts) == 1:
         return parts[0]
     blobs = []
@@ -225,6 +213,5 @@ def concat_encoded(parts: list[EncodedPostings]) -> EncodedPostings:
         b"".join(blobs),
         np.concatenate([p.last_doc for p in parts]),
         np.concatenate([p.max_tf for p in parts]),
-        np.concatenate([p.max_bm25 for p in parts]),
         np.concatenate(offs),
     )

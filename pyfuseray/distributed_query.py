@@ -16,8 +16,10 @@ Partitioning assumptions: the query-term table always broadcasts
 arrays via ``ray.put``, right while n_docs x 16 B fits a worker) and
 ``ranged`` (the 10^12-doc shape: docstats rows ride a coarse
 doc-bucket shuffle and join the score partials per group, so no task
-ever holds more than a block of docstats). Both modes are
-rank-identical (pytest-pinned).
+ever holds more than a block of docstats). Both modes share the query
+plan (term table, tombstones, TF-IDF query norms), the segment scan and
+the per-query top-k; they differ only in where dl and norm join the
+partials. Both modes are rank-identical (pytest-pinned).
 """
 
 from __future__ import annotations
@@ -32,21 +34,16 @@ import ray
 import ray.data as rd
 
 from pyfuseray.analyzer import make_analyzer
-from pyfuseray.checkpoint import load_manifest
+from pyfuseray.checkpoint import load_manifest, require_single_generation
 from pyfuseray.codec import decode_postings
-from pyfuseray.scoring import BM25_B, BM25_K1, bm25_idf, tfidf_weight, tfidf_weight_vec
-
-
-def _reject_tiered(m) -> None:
-    """Bulk search scans the consolidated segments/ dir and computes
-    idf from per-row df — on a tiered multi-generation index a term's
-    df is SPLIT across generation dirs, so serving would be silently
-    wrong. Gate with a clear remedy instead (incremental.py docstring)."""
-    if getattr(m, "seg_generations", None):
-        raise RuntimeError(
-            "bulk search on a tiered multi-generation index: run "
-            "incremental.compact_tiers() first"
-        )
+from pyfuseray.scoring import (
+    BM25_B,
+    BM25_K1,
+    bm25_contrib,
+    bm25_idf,
+    tfidf_weight,
+    tfidf_weight_vec,
+)
 
 
 def bulk_search(
@@ -69,31 +66,121 @@ def bulk_search(
     through a coarse doc-bucket shuffle instead of broadcasting dense
     arrays — memory per task bounded by block size, not corpus size.
     """
-    if docstats_mode == "ranged":
-        return _bulk_search_ranged(
-            index_dir, queries, top_k, scoring=scoring, k1=k1, b=b
-        )
-    assert docstats_mode == "broadcast", docstats_mode
+    if docstats_mode not in ("broadcast", "ranged"):
+        raise ValueError(f"docstats_mode must be broadcast or ranged: {docstats_mode!r}")
     m = load_manifest(index_dir)
     if m is None or not m.stage_done("done"):
         raise FileNotFoundError(f"no complete index manifest in {index_dir}")
-    _reject_tiered(m)
-    n_docs, avgdl = m.n_docs, m.avgdl or 1.0
-    analyzer = make_analyzer(m.analyzer)
+    # the scan reads the consolidated segments/ dir and takes idf from
+    # per-row df, which a tiered index splits across generation dirs
+    require_single_generation(m, "bulk search")
+    plan = _query_plan(index_dir, m, queries, scoring)
+    run = _ranked_ranged if docstats_mode == "ranged" else _ranked_broadcast
+    segments = rd.read_parquet(os.path.join(index_dir, "segments"))
+    out = run(index_dir, m, plan, segments, top_k, scoring, k1, b).to_pandas()
+    if out.empty:
+        return pd.DataFrame(columns=["query_id", "rank", "doc_id", "score"])
+    return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
 
-    # driver-side: per-query term weights (tiny) --------------------------
+
+def _query_plan(index_dir: str, m, queries: list[str], scoring: str):
+    """Driver-side state both docstats modes share: refs to the analyzed
+    query-term table and to the tombstones (each broadcast once), and
+    each query's norm (tfidf; 0.0 for bm25) from point df lookups."""
+    analyzer = make_analyzer(m.analyzer)
     q_terms: dict[str, list[tuple[int, int]]] = {}  # term -> [(query_id, qtf)]
-    per_query_terms: list[dict[str, int]] = []
-    for qid, q in enumerate(queries):
-        tf = analyzer.preprocess_query(q)
-        per_query_terms.append(tf)
+    per_query_terms = [analyzer.preprocess_query(q) for q in queries]
+    for qid, tf in enumerate(per_query_terms):
         for t, f in tf.items():
             q_terms.setdefault(t, []).append((qid, f))
-    q_ref = ray.put(q_terms)
+    # tombstoned doc_ids (pyfuseray.deletes): postings of deleted docs
+    # never leave the scan stage
+    from pyfuseray.deletes import load_tombstones
 
-    # docstats dense arrays, broadcast once --------------------------------
+    qnorms = [0.0] * len(queries)
+    if scoring == "tfidf":
+        import pyarrow.dataset as pads
+
+        df_tbl = pads.dataset(os.path.join(index_dir, "stats", "df.parquet")).to_table(
+            filter=pads.field("term").isin(list(q_terms))
+        )
+        df_lookup = dict(zip(df_tbl["term"].to_pylist(), df_tbl["df"].to_pylist()))
+        for qid, tf in enumerate(per_query_terms):
+            total = 0.0
+            for t, f in tf.items():
+                df = df_lookup.get(t)
+                if df:
+                    w = tfidf_weight(f, df, m.n_docs)
+                    total += w * w
+            qnorms[qid] = math.sqrt(total)
+    return ray.put(q_terms), ray.put(load_tombstones(index_dir, m)), qnorms
+
+
+def _query_postings(batch: pa.Table, q_terms: dict, deleted: np.ndarray):
+    """(df, doc_ids, tfs, [(query_id, qtf)]) for every query term in a
+    segment batch, tombstoned docs dropped."""
+    from pyfuseray.deletes import in_tombstones
+
+    terms = batch.column("term").to_pylist()
+    dfs = batch.column("df").to_numpy(zero_copy_only=False)
+    blobs = batch.column("blob").to_pylist()
+    offsets = batch.column("offset").to_pylist()
+    for term, df, blob, offs in zip(terms, dfs, blobs, offsets):
+        hits = q_terms.get(term)
+        if not hits:
+            continue
+        doc_ids, tfs = decode_postings(blob, np.asarray(offs, dtype=np.int64))
+        if deleted.size:
+            keep = ~in_tombstones(doc_ids, deleted)
+            doc_ids, tfs = doc_ids[keep], tfs[keep]
+            if doc_ids.size == 0:
+                continue
+        yield float(df), doc_ids, tfs, hits
+
+
+def _topk_table(
+    group: pa.Table, top_k: int, qnorms: list[float], norms_ref=None
+) -> pa.Table:
+    """One query's top-k from its partials: same-doc contributions sum in
+    scan order (stable sort), and a nonzero query norm (tfidf) divides
+    each sum by it and the doc's norm — read from the dense by-doc_id
+    array ``norms_ref`` points to, or else from the group's ``norm``
+    column."""
+    qid = int(group.column("query_id")[0].as_py())
+    docs = group.column("doc_id").to_numpy(zero_copy_only=False)
+    scores = group.column("partial").to_numpy(zero_copy_only=False).astype(np.float64)
+    order = np.argsort(docs, kind="stable")
+    docs, scores = docs[order], scores[order]
+    uniq, starts = np.unique(docs, return_index=True)
+    sums = np.add.reduceat(scores, starts)
+    qn = qnorms[qid]
+    if qn > 0:
+        if norms_ref is None:
+            nrm = group.column("norm").to_numpy(
+                zero_copy_only=False
+            ).astype(np.float64)[order][starts]
+        else:
+            nrm = ray.get(norms_ref)[uniq]
+        nz = nrm != 0
+        sums[nz] = sums[nz] / (qn * nrm[nz])
+    k = min(top_k, uniq.size)
+    idx = np.lexsort((uniq, -sums))[:k]
+    return pa.table(
+        {
+            "query_id": pa.array(np.full(k, qid, dtype=np.int64)),
+            "rank": pa.array(np.arange(k, dtype=np.int64)),
+            "doc_id": pa.array(uniq[idx], pa.int64()),
+            "score": pa.array(sums[idx], pa.float64()),
+        }
+    )
+
+
+def _ranked_broadcast(index_dir, m, plan, segments, top_k, scoring, k1, b):
+    """Dense dl/norm arrays broadcast once: dl joins in the scan stage
+    (finished BM25 partials), norm in the per-query top-k."""
     import pyarrow.dataset as pads
 
+    n_docs, avgdl = m.n_docs, m.avgdl or 1.0
     tbl = pads.dataset(os.path.join(index_dir, "stats", "docstats.parquet")).to_table()
     ids = tbl.column("doc_id").to_numpy()
     size = max(n_docs, int(ids.max()) + 1 if ids.size else 0)
@@ -103,52 +190,31 @@ def bulk_search(
     norms[ids] = tbl.column("norm").to_numpy().astype(np.float64)
     dl_ref = ray.put(dls)
     # norms is as large as dls — broadcast it the same way instead of
-    # capturing the dense array in the topk_group closure (which would
+    # capturing the dense array in the top-k closure (which would
     # serialize it into every map_groups task spec)
     norms_ref = ray.put(norms)
-    # tombstoned doc_ids (pyfuseray.deletes), broadcast once; postings of
-    # deleted docs never leave the scan stage
-    from pyfuseray.deletes import in_tombstones, load_tombstones
-
-    del_ref = ray.put(load_tombstones(index_dir, m))
+    q_ref, del_ref, qnorms = plan
 
     def score_stage(batch: pa.Table) -> pa.Table:
-        qt = ray.get(q_ref)
         dl_dense = ray.get(dl_ref)
-        dele = ray.get(del_ref)
         out_q: list[np.ndarray] = []
         out_d: list[np.ndarray] = []
         out_s: list[np.ndarray] = []
-        terms = batch.column("term").to_pylist()
-        dfs = batch.column("df").to_numpy(zero_copy_only=False)
-        blobs = batch.column("blob").to_pylist()
-        offsets = batch.column("offset").to_pylist()
-        for term, df, blob, offs in zip(terms, dfs, blobs, offsets):
-            hits = qt.get(term)
-            if not hits:
-                continue
-            doc_ids, tfs = decode_postings(blob, np.asarray(offs, dtype=np.int64))
-            if dele.size:
-                keep = ~in_tombstones(doc_ids, dele)
-                doc_ids, tfs = doc_ids[keep], tfs[keep]
-                if doc_ids.size == 0:
-                    continue
+        for df, doc_ids, tfs, hits in _query_postings(
+            batch, ray.get(q_ref), ray.get(del_ref)
+        ):
             if scoring == "bm25":
-                idf = bm25_idf(float(df), n_docs)
-                tfv = tfs.astype(np.float64)
-                denom = tfv + k1 * (1.0 - b + b * dl_dense[doc_ids] / avgdl)
-                base = idf * tfv * (k1 + 1.0) / denom
-                for qid, _qtf in hits:
-                    out_q.append(np.full(doc_ids.size, qid, dtype=np.int64))
-                    out_d.append(doc_ids)
-                    out_s.append(base)
+                base = bm25_contrib(
+                    bm25_idf(df, n_docs), tfs, dl_dense[doc_ids], avgdl, k1, b
+                )
+                parts = [base] * len(hits)
             else:
-                w_td = tfidf_weight_vec(tfs, float(df), float(n_docs))
-                for qid, qtf in hits:
-                    w_tq = tfidf_weight(qtf, float(df), float(n_docs))
-                    out_q.append(np.full(doc_ids.size, qid, dtype=np.int64))
-                    out_d.append(doc_ids)
-                    out_s.append(w_td * w_tq)
+                w_td = tfidf_weight_vec(tfs, df, float(n_docs))
+                parts = [w_td * tfidf_weight(qtf, df, float(n_docs)) for _, qtf in hits]
+            for (qid, _qtf), part in zip(hits, parts):
+                out_q.append(np.full(doc_ids.size, qid, dtype=np.int64))
+                out_d.append(doc_ids)
+                out_s.append(part)
         if not out_q:
             return pa.table(
                 {"query_id": pa.array([], pa.int64()),
@@ -163,61 +229,11 @@ def bulk_search(
             }
         )
 
-    def topk_group(group: pa.Table) -> pa.Table:
-        qid = int(group.column("query_id")[0].as_py())
-        docs = group.column("doc_id").to_numpy(zero_copy_only=False)
-        scores = group.column("partial").to_numpy(
-            zero_copy_only=False
-        ).astype(np.float64)
-        # combine same-doc contributions from different terms
-        order = np.argsort(docs, kind="stable")
-        docs, scores = docs[order], scores[order]
-        uniq, starts = np.unique(docs, return_index=True)
-        sums = np.add.reduceat(scores, starts)
-        if scoring == "tfidf":
-            qn = math.sqrt(_query_norm2(qid))
-            if qn > 0:
-                nrm = ray.get(norms_ref)[uniq]
-                nz = nrm != 0
-                sums[nz] = sums[nz] / (qn * nrm[nz])
-        k = min(top_k, uniq.size)
-        idx = np.lexsort((uniq, -sums))[:k]
-        return pa.table(
-            {
-                "query_id": pa.array(np.full(k, qid, dtype=np.int64)),
-                "rank": pa.array(np.arange(k, dtype=np.int64)),
-                "doc_id": pa.array(uniq[idx], pa.int64()),
-                "score": pa.array(sums[idx], pa.float64()),
-            }
-        )
-
-    # query norms need each query term's df: read it from the df table
-    # once, driver-side (query terms are few)
-    df_lookup: dict[str, int] = {}
-    if scoring == "tfidf":
-        df_tbl = pads.dataset(os.path.join(index_dir, "stats", "df.parquet")).to_table(
-            filter=pads.field("term").isin(list(q_terms))
-        )
-        df_lookup = dict(zip(df_tbl["term"].to_pylist(), df_tbl["df"].to_pylist()))
-
-    def _query_norm2(qid: int) -> float:
-        total = 0.0
-        for t, f in per_query_terms[qid].items():
-            df = df_lookup.get(t)
-            if df:
-                w = tfidf_weight(f, df, n_docs)
-                total += w * w
-        return total
-
-    segments = rd.read_parquet(os.path.join(index_dir, "segments"))
-    partials = segments.map_batches(score_stage, batch_format="pyarrow")
-    ranked = partials.groupby("query_id").map_groups(
-        topk_group, batch_format="pyarrow"
+    return segments.map_batches(score_stage, batch_format="pyarrow").groupby(
+        "query_id"
+    ).map_groups(
+        lambda g: _topk_table(g, top_k, qnorms, norms_ref), batch_format="pyarrow"
     )
-    out = ranked.to_pandas()
-    if out.empty:
-        return pd.DataFrame(columns=["query_id", "rank", "doc_id", "score"])
-    return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
 
 
 # coarse doc-bucket count for the ranged docstats join (same bounded-
@@ -225,15 +241,7 @@ def bulk_search(
 COARSE_DOC_GROUPS = 1024
 
 
-def _bulk_search_ranged(
-    index_dir: str,
-    queries: list[str],
-    top_k: int,
-    *,
-    scoring: str,
-    k1: float,
-    b: float,
-) -> pd.DataFrame:
+def _ranked_ranged(index_dir, m, plan, segments, top_k, scoring, k1, b):
     """The corpus-scale docstats shape: per-doc stats are never
     broadcast. Score partials leave the segment pass WITHOUT dl/norm
     (bm25 emits (idf, tf) per posting; tfidf emits the finished
@@ -243,20 +251,8 @@ def _bulk_search_ranged(
     per-row score. Memory per task = one block, regardless of corpus
     size. Rank-identical to the broadcast mode (same elementwise float
     expressions; sums tolerate the usual reduce-order ulp)."""
-    m = load_manifest(index_dir)
-    if m is None or not m.stage_done("done"):
-        raise FileNotFoundError(f"no complete index manifest in {index_dir}")
-    _reject_tiered(m)
     n_docs, avgdl = m.n_docs, m.avgdl or 1.0
-    analyzer = make_analyzer(m.analyzer)
-    q_terms: dict[str, list[tuple[int, int]]] = {}
-    per_query_terms: list[dict[str, int]] = []
-    for qid, q in enumerate(queries):
-        tf = analyzer.preprocess_query(q)
-        per_query_terms.append(tf)
-        for t, f in tf.items():
-            q_terms.setdefault(t, []).append((qid, f))
-    q_ref = ray.put(q_terms)
+    q_ref, del_ref, qnorms = plan
 
     def _coarse_doc(ids: np.ndarray) -> np.ndarray:
         return (
@@ -278,40 +274,22 @@ def _bulk_search_ranged(
             }
         )
 
-    # tombstoned doc_ids (pyfuseray.deletes), broadcast once
-    from pyfuseray.deletes import in_tombstones, load_tombstones
-
-    del_ref = ray.put(load_tombstones(index_dir, m))
-
     def raw_stage(batch: pa.Table) -> pa.Table:
-        qt = ray.get(q_ref)
-        dele = ray.get(del_ref)
         out_q, out_d, out_1, out_2 = [], [], [], []
-        terms = batch.column("term").to_pylist()
-        dfs = batch.column("df").to_numpy(zero_copy_only=False)
-        blobs = batch.column("blob").to_pylist()
-        offsets = batch.column("offset").to_pylist()
-        for term, df, blob, offs in zip(terms, dfs, blobs, offsets):
-            hits = qt.get(term)
-            if not hits:
-                continue
-            doc_ids, tfs = decode_postings(blob, np.asarray(offs, dtype=np.int64))
-            if dele.size:
-                keep = ~in_tombstones(doc_ids, dele)
-                doc_ids, tfs = doc_ids[keep], tfs[keep]
-                if doc_ids.size == 0:
-                    continue
+        for df, doc_ids, tfs, hits in _query_postings(
+            batch, ray.get(q_ref), ray.get(del_ref)
+        ):
             if scoring == "bm25":
-                idf = bm25_idf(float(df), n_docs)
+                idf = bm25_idf(df, n_docs)
                 for qid, _qtf in hits:
                     out_q.append(np.full(doc_ids.size, qid, dtype=np.int64))
                     out_d.append(doc_ids)
                     out_1.append(np.full(doc_ids.size, idf, dtype=np.float64))
                     out_2.append(tfs.astype(np.float64))
             else:
-                w_td = tfidf_weight_vec(tfs, float(df), float(n_docs))
+                w_td = tfidf_weight_vec(tfs, df, float(n_docs))
                 for qid, qtf in hits:
-                    w_tq = tfidf_weight(qtf, float(df), float(n_docs))
+                    w_tq = tfidf_weight(qtf, df, float(n_docs))
                     out_q.append(np.full(doc_ids.size, qid, dtype=np.int64))
                     out_d.append(doc_ids)
                     out_1.append(w_td * w_tq)
@@ -359,10 +337,8 @@ def _bulk_search_ranged(
         stat = np.where(hit, s_val[pos] if s_ids.size else 0.0,
                         avgdl if scoring == "bm25" else 1.0)
         if scoring == "bm25":
-            idf = x1[p_mask]
             tfv = group.column("x2").to_numpy(zero_copy_only=False)[p_mask]
-            denom = tfv + k1 * (1.0 - b + b * stat / avgdl)
-            partial = idf * tfv * (k1 + 1.0) / denom
+            partial = bm25_contrib(x1[p_mask], tfv, stat, avgdl, k1, b)
             norm = np.ones(p_ids.size)
         else:
             partial = x1[p_mask]
@@ -375,53 +351,6 @@ def _bulk_search_ranged(
              "norm": pa.array(norm, pa.float64())}
         )
 
-    # query norms (tfidf): few terms — point df lookups, driver-side
-    df_lookup: dict[str, int] = {}
-    if scoring == "tfidf":
-        import pyarrow.dataset as pads
-
-        df_tbl = pads.dataset(os.path.join(index_dir, "stats", "df.parquet")).to_table(
-            filter=pads.field("term").isin(list(q_terms))
-        )
-        df_lookup = dict(zip(df_tbl["term"].to_pylist(), df_tbl["df"].to_pylist()))
-
-    def _query_norm2(qid: int) -> float:
-        total = 0.0
-        for t, f in per_query_terms[qid].items():
-            df = df_lookup.get(t)
-            if df:
-                w = tfidf_weight(f, df, n_docs)
-                total += w * w
-        return total
-
-    def topk_group(group: pa.Table) -> pa.Table:
-        qid = int(group.column("query_id")[0].as_py())
-        docs = group.column("doc_id").to_numpy(zero_copy_only=False)
-        scores = group.column("partial").to_numpy(
-            zero_copy_only=False
-        ).astype(np.float64)
-        order = np.argsort(docs, kind="stable")
-        docs, scores = docs[order], scores[order]
-        uniq, starts = np.unique(docs, return_index=True)
-        sums = np.add.reduceat(scores, starts)
-        if scoring == "tfidf":
-            qn = math.sqrt(_query_norm2(qid))
-            if qn > 0:
-                nrm = group.column("norm").to_numpy(
-                    zero_copy_only=False
-                ).astype(np.float64)[order][starts]
-                nz = nrm != 0
-                sums[nz] = sums[nz] / (qn * nrm[nz])
-        k = min(top_k, uniq.size)
-        idx = np.lexsort((uniq, -sums))[:k]
-        return pa.table(
-            {"query_id": pa.array(np.full(k, qid, dtype=np.int64)),
-             "rank": pa.array(np.arange(k, dtype=np.int64)),
-             "doc_id": pa.array(uniq[idx], pa.int64()),
-             "score": pa.array(sums[idx], pa.float64())}
-        )
-
-    segments = rd.read_parquet(os.path.join(index_dir, "segments"))
     partials = segments.map_batches(raw_stage, batch_format="pyarrow")
     docstats = rd.read_parquet(
         os.path.join(index_dir, "stats", "docstats.parquet"),
@@ -432,10 +361,6 @@ def _bulk_search_ranged(
         .groupby("_db")
         .map_groups(join_group, batch_format="pyarrow")
     )
-    ranked = scored.groupby("query_id").map_groups(
-        topk_group, batch_format="pyarrow"
+    return scored.groupby("query_id").map_groups(
+        lambda g: _topk_table(g, top_k, qnorms), batch_format="pyarrow"
     )
-    out = ranked.to_pandas()
-    if out.empty:
-        return pd.DataFrame(columns=["query_id", "rank", "doc_id", "score"])
-    return out.sort_values(["query_id", "rank"]).reset_index(drop=True)

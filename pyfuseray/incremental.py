@@ -67,7 +67,8 @@ one full-index-sized shuffle per add):
   derived state is GATED, not wrong: per-block max_bm25 bounds and
   per-doc tfidf norms were computed against superseded global stats,
   so WAND falls back to TAAT and search_tfidf / bulk search / the
-  resident tier raise until :func:`compact_tiers` (triggered
+  resident tier raise (``checkpoint.require_single_generation``) until
+  :func:`compact_tiers` (triggered
   automatically once ``max_generations`` accumulate) folds everything
   back into one exact segment set == fresh build.
 """

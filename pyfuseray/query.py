@@ -35,10 +35,17 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from pyfuseray.analyzer import Analyzer, make_analyzer
-from pyfuseray.checkpoint import Manifest, load_manifest
+from pyfuseray.checkpoint import Manifest, load_manifest, require_single_generation
 from pyfuseray.codec import decode_postings, decode_span
 from pyfuseray.postings import term_bucket
-from pyfuseray.scoring import BM25_B, BM25_K1, bm25_idf, tfidf_weight, tfidf_weight_vec
+from pyfuseray.scoring import (
+    BM25_B,
+    BM25_K1,
+    bm25_contrib,
+    bm25_idf,
+    tfidf_weight,
+    tfidf_weight_vec,
+)
 
 
 @dataclass
@@ -237,8 +244,10 @@ class IndexSearcher:
         return [cur[path][1] for path in paths]
 
     # -- stats sidecars -----------------------------------------------------
-    # doc_ids are dense ranks (0..N-1), so docstats loads ONCE into dense
-    # numpy arrays indexed by doc_id: O(1) lookups in scoring loops.
+    # docstats loads ONCE into numpy arrays indexed by doc_id (O(1)
+    # lookups in scoring loops), sized to the doc-id domain: ids need not
+    # be dense (compaction keeps original ids, appends leave url-collision
+    # holes).
     def _load_docstats(self) -> None:
         paths = [os.path.join(self.index_dir, "stats", "docstats.parquet")]
         if self._multi_gen:
@@ -304,13 +313,9 @@ class IndexSearcher:
     # -- scoring ------------------------------------------------------------
     def search_tfidf(self, query: str, top_k: int = 10) -> list[tuple[int, float]]:
         """Reference-conformant TF-IDF cosine (TAAT, exhaustive)."""
-        if self._multi_gen:
-            # per-doc cosine norms were computed against superseded
-            # global (df, N) — serving them would be silently wrong
-            raise RuntimeError(
-                "search_tfidf on a tiered multi-generation index: norms "
-                "are stale until incremental.compact_tiers() runs"
-            )
+        # per-doc cosine norms were computed against superseded global
+        # (df, N) on a tiered index — serving them would be silently wrong
+        require_single_generation(self.manifest, "search_tfidf")
         terms = self.analyzer.preprocess_query(query)
         if not terms:
             return []
@@ -406,20 +411,16 @@ class IndexSearcher:
         if not present:
             return []
         seg_rows = [rows[t] for t in present]
-        # The stored per-block max_bm25 upper bounds were computed with the
-        # BUILD-time (k1, b) (manifest.bm25_k1/bm25_b). For any other
-        # parameters they are not valid upper bounds and WAND would prune
-        # true top-k docs — fall back to exhaustive TAAT, which is exact
-        # for arbitrary (k1, b).
-        build_k1 = getattr(self.manifest, "bm25_k1", BM25_K1)
-        build_b = getattr(self.manifest, "bm25_b", BM25_B)
-        if (k1, b) != (build_k1, build_b):
-            return self._bm25_taat(seg_rows, top_k, k1, b)
-        if self._multi_gen:
-            # tiered index: stored block-max bounds reflect superseded
-            # global stats, so WAND could prune true top-k docs — TAAT
-            # is exact for the merged rows (same fallback contract as
-            # custom (k1, b) above; compact_tiers restores WAND)
+        # The stored per-block max_bm25 upper bounds are valid only for
+        # the BUILD-time (k1, b) (manifest.bm25_k1/bm25_b) and the global
+        # stats of one generation. For other parameters, or on a tiered
+        # index, WAND could prune true top-k docs — use exhaustive TAAT,
+        # which is exact for both (compact_tiers restores WAND).
+        build_params = (
+            getattr(self.manifest, "bm25_k1", BM25_K1),
+            getattr(self.manifest, "bm25_b", BM25_B),
+        )
+        if (k1, b) != build_params or self._multi_gen:
             return self._bm25_taat(seg_rows, top_k, k1, b)
         if algorithm == "auto":
             # Windowed block-max WAND (span decode + buffered vectorized
@@ -442,11 +443,9 @@ class IndexSearcher:
         doc_parts, s_parts = [], []
         for row in seg_rows:
             doc_ids, tfs = decode_postings(row.blob, row.offset)
-            dls = dl_dense[doc_ids]
-            idf = bm25_idf(row.df, n)
-            tf = tfs.astype(np.float64)
-            denom = tf + k1 * (1.0 - b + b * dls / avgdl)
-            s_parts.append(idf * tf * (k1 + 1.0) / denom)
+            s_parts.append(
+                bm25_contrib(bm25_idf(row.df, n), tfs, dl_dense[doc_ids], avgdl, k1, b)
+            )
             doc_parts.append(doc_ids)
         docs = np.concatenate(doc_parts)
         contribs = np.concatenate(s_parts)
@@ -634,8 +633,6 @@ class _BlockCursor:
         if self.done or self.lb > w_end:
             return 0
         added = 0
-        k1_plus1 = k1 + 1.0
-        one_minus_b = 1.0 - b
         while True:
             if self._docs is None:
                 hi = int(np.searchsorted(self._last, w_end))
@@ -651,10 +648,10 @@ class _BlockCursor:
             i1 = int(np.searchsorted(self._docs, w_end, side="right"))
             if i1 > self._pos:
                 docs = self._docs[self._pos : i1]
-                tf = self._tfs[self._pos : i1].astype(np.float64)
-                denom = tf + k1 * (one_minus_b + b * dl_dense[docs] / avgdl)
                 out_d.append(docs)
-                out_s.append(self.idf * tf * k1_plus1 / denom)
+                out_s.append(bm25_contrib(
+                    self.idf, self._tfs[self._pos : i1], dl_dense[docs], avgdl, k1, b
+                ))
                 added += docs.size
             if i1 >= self._docs.size:
                 # span fully consumed

@@ -14,9 +14,9 @@ and returns its LOCAL canonical top-k — the driver merges k·n_shards
 rows, never postings.
 
 Rank identity by construction (pytest-pinned): per-posting contribution
-``idf(df_global) · tf(k1+1)/(tf + k1(1-b+b·dl/avgdl))`` is computed with
-the same elementwise float64 expression as ``IndexSearcher._bm25_taat``,
-per-doc accumulation uses the same stable-argsort + reduceat in the
+is ``scoring.bm25_contrib(bm25_idf(df_global, N), tf, dl, avgdl)``, the
+same kernel and idf ``IndexSearcher._bm25_taat`` calls, per-doc
+accumulation uses the same stable-argsort + reduceat in the
 same sorted-term order (doc ranges partition docs, so per-doc sums see
 identical operand sequences — bit-identical scores), and both local and
 merged top-k use the canonical (-score, doc_id) order. Tombstoned docs
@@ -32,8 +32,8 @@ re-partitions the segment postings into ``resident/rbucket=K/`` hive
 buckets by doc range (re-encoded with the same run codec), and each
 shard actor reads ONLY the bucket directories intersecting its
 ``[lo, hi)`` — ~1/n_shards of the sidecar bytes, independent of shard
-count (round-4 verdict: the previous load read the FULL blob column
-per actor, an n_shards× read amplification). The sidecar carries a
+count. The sidecar is the only load path: a searcher always builds or
+validates it first, so no actor reads the whole segment set. It carries a
 (file, size, mtime) signature of the segment set; compaction or an
 incremental add invalidates it and the next searcher rebuild re-runs
 the distributed pass.
@@ -52,9 +52,9 @@ import pyarrow.dataset as pads
 import ray
 
 from pyfuseray.analyzer import make_analyzer
-from pyfuseray.checkpoint import FORMAT_VERSION, load_manifest
-from pyfuseray.codec import decode_postings, decode_span
-from pyfuseray.scoring import BM25_B, BM25_K1
+from pyfuseray.checkpoint import FORMAT_VERSION, load_manifest, require_single_generation
+from pyfuseray.codec import decode_postings
+from pyfuseray.scoring import BM25_B, BM25_K1, bm25_contrib, bm25_idf
 
 # doc-range hive buckets in the resident sidecar. Finer than the default
 # shard count so any n_shards <= RESIDENT_BUCKETS reads only the buckets
@@ -170,7 +170,8 @@ def ensure_resident_layout(
     sidecar) — writing ``resident/rbucket=K/`` hive partitions plus a
     ``meta.json`` carrying the segment-set signature. A stale or
     missing sidecar is rebuilt; a current one returns immediately.
-    Atomic: built under ``resident.writing`` and swapped in.
+    Atomic: built under ``resident.writing`` and swapped in. Raises on
+    an incomplete or tiered index (``require_single_generation``).
     """
     import json
     import shutil
@@ -180,12 +181,8 @@ def ensure_resident_layout(
     m = load_manifest(index_dir)
     if m is None or not m.stage_done("done"):
         raise FileNotFoundError(f"no complete index manifest in {index_dir}")
-    if getattr(m, "seg_generations", None):
-        raise RuntimeError(
-            "resident tier on a tiered multi-generation index: run "
-            "incremental.compact_tiers() first (the sidecar reads the "
-            "consolidated segments/ dir only)"
-        )
+    # the sidecar reads the consolidated segments/ dir only
+    require_single_generation(m, "resident tier")
     from pyfuseray.incremental import _doc_domain
 
     res = os.path.join(index_dir, _RESIDENT_DIRNAME)
@@ -229,7 +226,7 @@ class _TextShardActor:
         index_dir: str,
         lo: int,
         hi: int,
-        resident_dir: str | None = None,
+        resident_dir: str,
         n_buckets: int = RESIDENT_BUCKETS,
         domain: int | None = None,
     ):
@@ -259,14 +256,10 @@ class _TextShardActor:
         from pyfuseray.deletes import load_tombstones
 
         deleted = load_tombstones(index_dir, m)
-        if resident_dir is not None:
-            post = self._load_from_sidecar(
-                resident_dir, n_buckets, n, dl, deleted,
-                domain if domain is not None else n,
-            )
-        else:
-            post = self._load_from_segments(index_dir, n, dl, deleted)
-        self.post = post
+        self.post = self._load_from_sidecar(
+            resident_dir, n_buckets, n, dl, deleted,
+            domain if domain is not None else n,
+        )
         self.dl = dl
         self.n_docs = n
 
@@ -281,12 +274,10 @@ class _TextShardActor:
     ) -> dict:
         """Bucket-pruned load: read ONLY ``rbucket=K`` hive directories
         intersecting [lo, hi) — ~(hi-lo)/n_docs of the sidecar bytes —
-        then one vectorized decode + per-term grouping. Bit-identical to
-        the legacy full-segment path (pytest-pinned): same decoded
-        (ids, tfs), same per-term float64 contribution expression.
+        then one vectorized decode + per-term grouping. Each term's
+        (ids, tfs) equal its segment postings clipped to [lo, hi)
+        (pytest-pinned), scored with the searcher's idf and kernel.
         """
-        import math
-
         import pyarrow as pa
 
         from pyfuseray.deletes import in_tombstones
@@ -358,69 +349,18 @@ class _TextShardActor:
         ends = np.concatenate((starts[1:], [codes.size]))
         for s, e in zip(starts, ends):
             code = int(codes[s])
-            df = float(gdf_by_code[code])
-            idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+            idf = bm25_idf(int(gdf_by_code[code]), n)
             ids = docs[s:e]
             tfr = tfs[s:e]
-            tf = tfr.astype(np.float64)
-            denom = tf + k1 * (1.0 - b + b * dl[ids - lo] / avgdl)
-            contrib = idf * tf * (k1 + 1.0) / denom
+            contrib = bm25_contrib(idf, tfr, dl[ids - lo], avgdl, k1, b)
             post[vocab[code]] = (ids, tfr.astype(np.int32), contrib, idf)
-        return post
-
-    def _load_from_segments(
-        self, index_dir: str, n: int, dl: np.ndarray, deleted: np.ndarray
-    ) -> dict:
-        """Legacy path (no sidecar): read the full segment table and
-        decode only the codec blocks intersecting [lo, hi). Reads
-        corpus-proportional bytes per actor — kept for identity tests
-        and as a fallback; production loads go through the sidecar."""
-        import math
-
-        from pyfuseray.deletes import in_tombstones
-
-        lo, hi = self.lo, self.hi
-        k1, b, avgdl = self.k1, self.b, self.avgdl
-        seg = pads.dataset(
-            os.path.join(index_dir, "segments"), format="parquet"
-        ).to_table(columns=["term", "df", "blob", "last_doc", "offset"])
-
-        # one load-time pass over the vocabulary: decode only the codec
-        # blocks whose doc range intersects [lo, hi), clip, precompute
-        # the df-dependent idf and the per-posting contribution with the
-        # exact _bm25_taat expression
-        post: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        terms = seg.column("term").to_pylist()
-        dfs = seg.column("df").to_numpy(zero_copy_only=False)
-        blobs = seg.column("blob").to_pylist()
-        lasts = seg.column("last_doc").to_pylist()
-        offs = seg.column("offset").to_pylist()
-        for t, df, blob, last, off in zip(terms, dfs, blobs, lasts, offs):
-            last = np.asarray(last, dtype=np.int64)
-            js = int(np.searchsorted(last, lo, side="left"))
-            if js >= last.size:
-                continue
-            je = min(int(np.searchsorted(last, hi - 1, side="left")), last.size - 1)
-            ids, tfs = decode_span(blob, np.asarray(off, dtype=np.int64), js, je)
-            keep = (ids >= lo) & (ids < hi)
-            if deleted.size:
-                keep &= ~in_tombstones(ids, deleted)
-            ids, tfs = ids[keep], tfs[keep]
-            if not ids.size:
-                continue
-            idf = math.log((n - float(df) + 0.5) / (float(df) + 0.5) + 1.0)
-            tf = tfs.astype(np.float64)
-            denom = tf + k1 * (1.0 - b + b * dl[ids - lo] / avgdl)
-            contrib = idf * tf * (k1 + 1.0) / denom
-            post[t] = (ids, tfs.astype(np.int32), contrib, idf)
         return post
 
     def ready(self) -> bool:
         return True
 
     def load_info(self) -> dict:
-        """Bytes this actor read from the posting store at load (sidecar
-        path only; the legacy path reads the whole segment set)."""
+        """Bytes this actor read from the resident sidecar at load."""
         return {"load_bytes": int(self.load_bytes)}
 
     def score(
@@ -441,11 +381,9 @@ class _TextShardActor:
             if not build_params:
                 # recompute for caller-supplied parameters (exact; the
                 # precomputed column is only valid for the build params)
-                tf = tfs.astype(np.float64)
-                denom = tf + k1 * (
-                    1.0 - b + b * self.dl[ids - self.lo] / self.avgdl
+                contrib = bm25_contrib(
+                    idf, tfs, self.dl[ids - self.lo], self.avgdl, k1, b
                 )
-                contrib = idf * tf * (k1 + 1.0) / denom
             doc_parts.append(ids)
             s_parts.append(contrib)
         if not doc_parts:
@@ -491,20 +429,12 @@ class ResidentTextSearcher:
     index AFTER construction are not visible until a new instance is
     built (the same snapshot semantics as a loaded IVF tier)."""
 
-    def __init__(
-        self, index_dir: str, n_shards: int = 8, *, use_sidecar: bool = True
-    ):
-        m = load_manifest(index_dir)
-        if m is None or not m.stage_done("done"):
-            raise FileNotFoundError(f"no complete index manifest in {index_dir}")
-        if getattr(m, "seg_generations", None):
-            # with or without the sidecar, the shards would load only
-            # the base segments/ dir and silently miss newer generations
-            raise RuntimeError(
-                "resident tier on a tiered multi-generation index: run "
-                "incremental.compact_tiers() first"
-            )
-        self.manifest = m
+    def __init__(self, index_dir: str, n_shards: int = 8):
+        # one distributed pass builds (or validates) the doc-range hive
+        # layout; every actor load after that is file-pruned. It also
+        # refuses incomplete and tiered indexes.
+        resident_dir = ensure_resident_layout(index_dir)
+        self.manifest = m = load_manifest(index_dir)
         self.analyzer = make_analyzer(m.analyzer)
         # shard over the doc-id DOMAIN (max id + 1), not the count: a
         # compacted index keeps original ids, which can exceed n_docs
@@ -512,11 +442,6 @@ class ResidentTextSearcher:
 
         domain = _doc_domain(index_dir, m.n_docs)
         n_shards = max(1, min(n_shards, domain))
-        resident_dir = None
-        if use_sidecar:
-            # one distributed pass builds (or validates) the doc-range
-            # hive layout; every actor load after that is file-pruned
-            resident_dir = ensure_resident_layout(index_dir)
         bounds = np.linspace(0, domain, n_shards + 1).astype(np.int64)
         actor = ray.remote(_TextShardActor)
         self.actors = [
@@ -530,7 +455,7 @@ class ResidentTextSearcher:
         ray.get([a.ready.remote() for a in self.actors])  # surface load errors
 
     def load_info(self) -> list[dict]:
-        """Per-shard posting-store bytes read at load (sidecar path)."""
+        """Per-shard sidecar bytes read at load."""
         return ray.get([a.load_info.remote() for a in self.actors])
 
     def search_bm25(

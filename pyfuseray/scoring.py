@@ -6,13 +6,20 @@
 
     w(tf, df) = (1 + log10(tf)) * log10(N / df),   0 if tf<=0 or df<=0 or N<=0
 
-``bm25_term_score`` is the benchmark-path ranking function (Robertson/
-Sparck Jones BM25, k1=1.2 b=0.75 defaults) — the reference's BASELINE
-metric names BM25 while the reference code implements log-TF-IDF cosine;
-both ship and both are pinned by goldens (SURVEY.md §2.9.3).
+``bm25_idf`` and ``bm25_contrib`` are the benchmark-path ranking
+function (Robertson/Sparck Jones BM25, k1=1.2 b=0.75 defaults) — the
+reference's BASELINE metric names BM25 while the reference code
+implements log-TF-IDF cosine; both ship and both are pinned by goldens
+(SURVEY.md §2.9.3).
 
-Used identically by the distributed pipeline and the serial oracle so
-rank-identity is exact (same operations, same order, float64).
+``bm25_contrib`` is the one site of the BM25 formula: the TAAT and WAND
+searchers, the resident tier, both bulk-search modes and the per-block
+WAND bounds written at segment finalize all call it, so their scores
+share one float order (WAND stays bit-identical to TAAT and the stored
+block bounds are true upper bounds). ``tests/test_one_bm25_site.py``
+keeps the formula from being written out again anywhere else in the
+package; ``oracle.py`` keeps its own copy as an independent reference.
+The TF-IDF weights are shared by the searchers and the oracle.
 """
 
 from __future__ import annotations
@@ -47,23 +54,14 @@ def bm25_idf(df: float, n_docs: float) -> float:
     return math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
 
 
-def bm25_term_score_vec(
-    tf: np.ndarray,
-    doclen: np.ndarray,
-    df: float,
-    n_docs: float,
-    avgdl: float,
-    k1: float = BM25_K1,
-    b: float = BM25_B,
-) -> np.ndarray:
-    """Vectorized BM25 contribution of one term over its posting list."""
+def bm25_contrib(idf, tf, dl, avgdl: float, k1: float = BM25_K1, b: float = BM25_B):
+    """BM25 contribution of a term with idf ``idf`` to a doc with term
+    frequency ``tf`` and length ``dl``; scalars or numpy arrays.
+
+    A block bound ``bm25_contrib(idf, max_tf, min_dl, ...)`` is >= the
+    score of every posting in the block: at equal tf a larger dl can
+    only round the denominator up, and a smaller tf lowers the exact
+    value by far more than the few ulps of rounding.
+    """
     tf = np.asarray(tf, dtype=np.float64)
-    doclen = np.asarray(doclen, dtype=np.float64)
-    idf = bm25_idf(df, n_docs)
-    denom = tf + k1 * (1.0 - b + b * doclen / avgdl)
-    return idf * (tf * (k1 + 1.0)) / denom
-
-
-def bm25_max_score(df: float, n_docs: float, k1: float = BM25_K1) -> float:
-    """Upper bound of one term's BM25 contribution (tf -> inf)."""
-    return bm25_idf(df, n_docs) * (k1 + 1.0)
+    return idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))

@@ -14,10 +14,12 @@ Skew handling (north-star requirement): ``salt = first_doc * S // N``
 splits a hot term's runs into S doc-range groups; the per-term stitch
 of split lists is again concatenation.
 
-BM25 block metadata: runs carry per-block (max_tf, min_dl); since
-g(tf, dl) is increasing in tf and decreasing in dl, the finalize step
-attaches ``max_bm25 = idf(df) * g(max_tf, min_dl)`` — a tight, valid
-per-block upper bound for block-max WAND — once global df is known.
+BM25 block metadata: runs carry per-block (max_tf, min_dl); since a
+term's BM25 contribution is increasing in tf and decreasing in dl, the
+finalize step attaches ``max_bm25 = bm25_contrib(bm25_idf(df, N),
+max_tf, min_dl, avgdl)`` — a tight per-block upper bound for block-max
+WAND — once global df is known. It is the searcher's own idf and kernel,
+so the bound is >= every score the query computes in the block.
 Heavily fragmented lists (many tiny per-batch blocks) are re-blocked by
 a vectorized decode + re-encode in finalize.
 
@@ -35,7 +37,7 @@ import ray.data as rd
 
 from pyfuseray.codec import BLOCK_SIZE, decode_postings, encode_postings
 from pyfuseray.postings import RUN_SCHEMA
-from pyfuseray.scoring import BM25_B, BM25_K1
+from pyfuseray.scoring import bm25_contrib, bm25_idf
 
 SEGMENT_SCHEMA = pa.schema(
     [
@@ -56,13 +58,6 @@ _MERGED_SCHEMA = RUN_SCHEMA  # merge preserves the run schema
 # coarse term-bucket count for the merge shuffle: groups stay ~thousands
 # regardless of vocabulary size (per-group overhead never scales with it)
 COARSE_GROUPS = 512
-
-
-def _bm25_g(tf: np.ndarray, dl: np.ndarray, avgdl: float,
-            k1: float = BM25_K1, b: float = BM25_B) -> np.ndarray:
-    """df-independent BM25 factor: score = idf(df) * g(tf, dl)."""
-    tf = tf.astype(np.float64)
-    return (tf * (k1 + 1.0)) / (tf + k1 * (1.0 - b + b * dl.astype(np.float64) / avgdl))
 
 
 def _merge_one_term(rows: list[dict]) -> dict:
@@ -269,8 +264,8 @@ def make_finalize(n_docs: int, avgdl: float, block_size: int | None = None):
     """Merged run row -> final segment row with BM25 block upper bounds.
 
     Fully vectorized over the batch in the common (no-reblock) case: one
-    flatten of the per-block list columns, one numpy g() over all blocks
-    of all terms, one ListArray rebuild — no per-row ``.as_py()`` calls
+    flatten of the per-block list columns, one ``bm25_contrib`` over all
+    blocks of all terms, one ListArray rebuild — no per-row ``.as_py()`` calls
     (at 10^8-vocab scale the old row loop was 10^8 Python iterations in
     the wide stage). Rows whose lists got too fragmented (many tiny
     per-batch blocks) are re-blocked by a decode + re-encode loop over
@@ -296,8 +291,7 @@ def make_finalize(n_docs: int, avgdl: float, block_size: int | None = None):
                 zero_copy_only=False
             )
         )
-        g = _bm25_g(mt_flat, md_flat, avgdl)
-        scores = np.repeat(idf, nblocks) * g
+        scores = bm25_contrib(np.repeat(idf, nblocks), mt_flat, md_flat, avgdl)
         offsets = np.concatenate(([0], np.cumsum(nblocks)))
         max_bm25 = pa.ListArray.from_arrays(
             pa.array(offsets, pa.int32()), pa.array(scores, pa.float64())
@@ -328,7 +322,7 @@ def make_finalize(n_docs: int, avgdl: float, block_size: int | None = None):
             enc = encode_postings(d, t, block_size=bs)
             min_dl = cols["min_dl"][i]
             term_min_dl = float(min(min_dl)) if min_dl else 1.0
-            g = _bm25_g(enc.max_tf, np.full(enc.max_tf.size, term_min_dl), avgdl)
+            bound = bm25_contrib(float(idf[i]), enc.max_tf, term_min_dl, avgdl)
             out["term"].append(cols["term"][i])
             out["bucket"].append(cols["bucket"][i])
             out["df"].append(cols["df"][i])
@@ -336,23 +330,24 @@ def make_finalize(n_docs: int, avgdl: float, block_size: int | None = None):
             out["blob"].append(enc.blob)
             out["last_doc"].append(enc.last_doc.tolist())
             out["max_tf"].append(enc.max_tf.tolist())
-            out["max_bm25"].append((float(idf[i]) * g).tolist())
+            out["max_bm25"].append(bound.tolist())
             out["offset"].append(enc.offset.tolist())
         return pa.table(out, schema=SEGMENT_SCHEMA)
 
     def finalize(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return _empty_segment_table()
-        dfs = batch.column("df").to_numpy(zero_copy_only=False).astype(np.float64)
-        # vectorized bm25_idf (same formula as scoring.bm25_idf, float64)
-        idf = np.log((n_docs - dfs + 0.5) / (dfs + 0.5) + 1.0)
+        df_int = batch.column("df").to_numpy(zero_copy_only=False)
+        # the query's own scalar bm25_idf (np.log can differ from
+        # math.log by an ulp), once per distinct df
+        udf, inv = np.unique(df_int, return_inverse=True)
+        idf = np.array([bm25_idf(int(d), n_docs) for d in udf], dtype=np.float64)[inv]
         nblocks = np.asarray(
             pa.compute.list_value_length(batch.column("last_doc")).to_numpy(
                 zero_copy_only=False
             ),
             dtype=np.int64,
         )
-        df_int = batch.column("df").to_numpy(zero_copy_only=False)
         need = nblocks > 2 * np.maximum(1, -(-df_int // bs))
         if not need.any():
             return finalize_fast(batch, idf)

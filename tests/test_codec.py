@@ -48,15 +48,13 @@ def test_block_metadata_true_maxima():
     rng = np.random.default_rng(7)
     doc_ids = np.sort(rng.choice(10**7, size=1000, replace=False)).astype(np.int64)
     tfs = rng.integers(1, 50, size=1000).astype(np.int64)
-    scores = rng.random(1000)
-    enc = encode_postings(doc_ids, tfs, bm25_scores=scores, block_size=128)
+    enc = encode_postings(doc_ids, tfs, block_size=128)
     nblocks = enc.last_doc.size
     assert nblocks == (1000 + 127) // 128
     for b in range(nblocks):
         lo, hi = b * 128, min((b + 1) * 128, 1000)
         assert enc.last_doc[b] == doc_ids[hi - 1]
         assert enc.max_tf[b] == tfs[lo:hi].max()
-        assert enc.max_bm25[b] == scores[lo:hi].max()
         d, t = decode_block(enc.blob, enc.offset, b)
         assert np.array_equal(d, doc_ids[lo:hi])
         assert np.array_equal(t, tfs[lo:hi])

@@ -117,27 +117,43 @@ def test_resident_on_pages_corpus(ray_session, tmp_path):
         r.close()
 
 
-def test_sidecar_load_bit_identical_to_legacy(ray_session, tmp_path):
-    """The bucket-pruned sidecar load must reconstruct EXACTLY the same
-    per-term (ids, tfs, contrib, idf) state as the legacy full-segment
-    read — array-for-array, bit-for-bit."""
+def test_sidecar_load_matches_segment_postings(ray_session, tmp_path):
+    """Every shard's sidecar load must hold, per term, EXACTLY the term's
+    segment postings clipped to [lo, hi): same ids and tfs, the
+    searcher's idf, and its kernel's contribution as float bits."""
+    import os
+
+    import pyarrow.dataset as pads
+
+    from pyfuseray.codec import decode_postings
     from pyfuseray.resident import _TextShardActor, ensure_resident_layout
+    from pyfuseray.scoring import bm25_contrib, bm25_idf
 
     ix = _pangram_ix(tmp_path)
     res = ensure_resident_layout(ix)
-    n_docs = IndexSearcher(ix).manifest.n_docs
+    s = IndexSearcher(ix)
+    m = s.manifest
+    dl = s._doclens()
+    vocab = pads.dataset(os.path.join(ix, "segments")).to_table(columns=["term"])
+    rows = s.lookup(sorted(vocab.column("term").to_pylist()))
+    n_docs = m.n_docs
     bounds = [0, n_docs // 3, 2 * n_docs // 3, n_docs]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         a = _TextShardActor(ix, lo, hi, res)
-        b = _TextShardActor(ix, lo, hi, None)
-        assert set(a.post) == set(b.post), (lo, hi)
-        for t in a.post:
+        want = {}
+        for t, row in rows.items():
+            ids, tfs = decode_postings(row.blob, row.offset)
+            keep = (ids >= lo) & (ids < hi)
+            if keep.any():
+                want[t] = (ids[keep], tfs[keep], bm25_idf(row.df, n_docs))
+        assert set(a.post) == set(want), (lo, hi)
+        for t, (ids, tfs, idf) in want.items():
             ia, ta, ca, fa = a.post[t]
-            ib, tb, cb, fb = b.post[t]
-            assert np.array_equal(ia, ib), t
-            assert np.array_equal(ta, tb), t
-            assert ca.tobytes() == cb.tobytes(), t  # float BITS
-            assert fa == fb, t
+            assert np.array_equal(ia, ids), t
+            assert np.array_equal(ta, tfs), t
+            assert fa == idf, t
+            ref = bm25_contrib(idf, tfs, dl[ids], m.avgdl or 1.0, m.bm25_k1, m.bm25_b)
+            assert ca.tobytes() == ref.tobytes(), t  # float BITS
 
 
 def test_sidecar_load_is_range_pruned(ray_session, tmp_path):
@@ -207,9 +223,9 @@ def test_sidecar_invalidated_by_segment_rewrite(ray_session, tmp_path):
         r.close()
 
 
-def test_resident_refuses_tiered_index_with_or_without_sidecar(ray_session, tmp_path):
+def test_resident_refuses_tiered_index(ray_session, tmp_path):
     """A tiered index's newer generations live outside segments/, which
-    is all the shards load: both load routes must raise, not serve
+    is all the shards load: the searcher must raise, not serve
     base-only results."""
     import pytest
 
@@ -219,6 +235,5 @@ def test_resident_refuses_tiered_index_with_or_without_sidecar(ray_session, tmp_
     n = len(PANGRAM_DOCS)
     add_documents(ix, rd.from_items([{"doc_id": n, "text": "quick wizard"}]),
                   mode="tiered", max_generations=10)
-    for use_sidecar in (False, True):
-        with pytest.raises(RuntimeError, match="compact_tiers"):
-            ResidentTextSearcher(ix, n_shards=2, use_sidecar=use_sidecar)
+    with pytest.raises(RuntimeError, match="compact_tiers"):
+        ResidentTextSearcher(ix, n_shards=2)

@@ -95,10 +95,13 @@ def test_stale_tiers_gated_not_wrong(tiered):
         s2.search_tfidf("quick fox", 5)
     from pyfuseray.distributed_query import bulk_search
 
-    with pytest.raises(RuntimeError, match="compact_tiers"):
-        bulk_search(tod, ["quick fox"], 5)
-    from pyfuseray.resident import ResidentTextSearcher
+    for mode in ("broadcast", "ranged"):
+        with pytest.raises(RuntimeError, match="compact_tiers"):
+            bulk_search(tod, ["quick fox"], 5, docstats_mode=mode)
+    from pyfuseray.resident import ResidentTextSearcher, ensure_resident_layout
 
+    with pytest.raises(RuntimeError, match="compact_tiers"):
+        ensure_resident_layout(tod)
     with pytest.raises(RuntimeError, match="compact_tiers"):
         ResidentTextSearcher(tod, n_shards=2)
     # explicit wand falls back to exact TAAT (custom-params contract)

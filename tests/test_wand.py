@@ -2,13 +2,19 @@
 exercise block skipping and heap thresholds (regression for the
 advance-past-pivot and block-UB-contributor bugs found in round 1)."""
 
+import os
+
+import numpy as np
+import pyarrow.dataset as pads
 import pytest
 import ray.data as rd
 
 from pyfuseray.build import build_index
+from pyfuseray.codec import decode_postings
 from pyfuseray.pages import synth_pages
 from pyfuseray.pipeline import build_from_pages
 from pyfuseray.query import IndexSearcher
+from pyfuseray.scoring import bm25_contrib, bm25_idf
 
 QUERIES = [
     "quick foxes",
@@ -76,6 +82,7 @@ def test_wand_fuzz_tiny_blocks_and_ks(tmp_path, block_size):
     build_from_pages(pages, out, num_buckets=2, num_salts=2,
                      block_size=block_size, overwrite=True)
     s = IndexSearcher(out)
+    _assert_block_bounds_hold(s)
     queries = QUERIES + ["quick", "webhot webhot quick", "zzzunknown quick"]
     for q in queries:
         for k in (1, 7, 1000):
@@ -84,3 +91,22 @@ def test_wand_fuzz_tiny_blocks_and_ks(tmp_path, block_size):
             assert [d for d, _ in taat] == [d for d, _ in wand], (q, k)
             for (_, s1), (_, s2) in zip(taat, wand):
                 assert s1 == s2, (q, k)  # bit-identical float path
+
+
+def _assert_block_bounds_hold(s):
+    """Block-max WAND is exact only if every stored block bound is >= the
+    contribution the searcher scores for each posting in the block, as
+    exact floats (the skip test is ``ub < theta``)."""
+    m = s.manifest
+    dl = s._doclens()
+    seg = pads.dataset(os.path.join(s.index_dir, "segments"), format="parquet").to_table(
+        columns=["df", "blob", "last_doc", "max_bm25", "offset"]
+    )
+    for df, blob, last, bound, off in zip(*(c.to_pylist() for c in seg.columns)):
+        docs, tfs = decode_postings(blob, np.asarray(off, dtype=np.int64))
+        scored = bm25_contrib(bm25_idf(df, m.n_docs), tfs, dl[docs], m.avgdl or 1.0)
+        block = np.searchsorted(np.asarray(last), docs)
+        block_max = np.full(len(last), -np.inf)
+        np.maximum.at(block_max, block, scored)
+        low = np.asarray(bound) < block_max
+        assert not low.any(), f"{low.sum()} of {low.size} block bounds below a score"
