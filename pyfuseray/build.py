@@ -14,9 +14,11 @@ per-bucket groupby in stage C):
   E. manifest finalize
 
 Stages B-E read every postings GENERATION the manifest records (a
-fresh build has one, ``postings_raw``). Index maintenance
-(``incremental.py``, ``deletes.py``) records a new generation, retires
-the derived stages B-E in the same manifest write, then resumes this
+fresh build has one, ``postings_raw``). This function is the only
+writer of segments and stats: an add (``incremental.py``) builds its new
+generation with a fresh call in a staging dir, and every fold
+(``incremental.py``, ``deletes.py``) records its change, retires the
+derived stages B-E in the same manifest write, then resumes this
 function with ``corpus=None``.
 
 Index layout (SURVEY.md §7.7):
@@ -46,7 +48,7 @@ from pyfuseray.checkpoint import (
     row_checksum_update,
     save_manifest,
 )
-from pyfuseray.postings import DEFAULT_NUM_BUCKETS, TokenizerStage, tokenize_batch
+from pyfuseray.postings import DEFAULT_NUM_BUCKETS, tokenize_batch
 from pyfuseray.segments import build_bucket_segment
 from pyfuseray.stats import df_dataset, docstats_dataset
 
@@ -159,8 +161,8 @@ def _sort_block_by_term(batch: pa.Table) -> pa.Table:
     return batch.sort_by("term")
 
 
-# parquet layout of every segment write (fresh build, per-bucket resume,
-# tiered add): FEW files (reads schedule ~10 tasks, not ~1600) with
+# parquet layout of every segment write (fresh build, per-bucket resume):
+# FEW files (reads schedule ~10 tasks, not ~1600) with
 # SMALL row groups, so term-point lookups still prune via parquet
 # row-group statistics inside each file
 SEGMENT_WRITE = {
@@ -169,8 +171,8 @@ SEGMENT_WRITE = {
     "row_group_size": 256,
 }
 
-# every docstats write (the runs route, the canonical segments decode
-# and a tiered add's sidecar): a sort("doc_id") leaves one output block
+# every docstats write (the runs route and the canonical segments
+# decode): a sort("doc_id") leaves one output block
 # per input block, so without a floor a resume's many small read blocks
 # become as many tiny files; one file per million docs keeps the
 # searcher's whole-table load to a few reads
@@ -201,6 +203,9 @@ def _segment_checksums(seg: rd.Dataset) -> dict[int, tuple[int, int, int]]:
 # stream-from-files instead
 POSTINGS_MATERIALIZE_DOC_LIMIT = 5_000_000
 
+# default hot-term split: one doc-range salt per this many docs
+SALT_DOCS = 500_000
+
 
 def build_index(
     corpus: rd.Dataset | None,
@@ -209,14 +214,11 @@ def build_index(
     n_docs: int | None = None,
     num_buckets: int = DEFAULT_NUM_BUCKETS,
     num_salts: int | None = None,
-    split_docs: int = 500_000,
     # 4096-doc SPIMI blocks: runs per term (and so rows through the
     # merge shuffle) drop 4x vs 1024 at ~4x the per-task heap — measured
     # 28 s -> 19 s on the segment stage of the 400k-page bench corpus
     tokenizer_batch_size: int = 4096,
-    tokenizer_concurrency: int | tuple[int, int] | None = None,
     block_size: int | None = None,
-    bucket_parallelism: int | None = None,
     overwrite: bool = False,
     analyzer: str = "reference",
     corpus_sorted: bool = False,
@@ -257,7 +259,7 @@ def build_index(
     if n_docs is None:
         n_docs = m.n_docs if corpus is None else corpus.count()
     if num_salts is None:
-        num_salts = max(1, n_docs // max(1, split_docs))
+        num_salts = max(1, n_docs // SALT_DOCS)
     if m.num_buckets and m.num_buckets != num_buckets:
         raise ValueError(
             f"resume with num_buckets={num_buckets} != manifest {m.num_buckets}"
@@ -341,29 +343,15 @@ def build_index(
         tokenize_wall = 0.0
         if not m.stage_done("postings"):
             t0 = time.perf_counter()
-            if tokenizer_concurrency is not None:
-                # explicit actor-pool path (caller-controlled concurrency)
-                postings = corpus.map_batches(
-                    TokenizerStage,
-                    fn_constructor_kwargs={
-                        "num_buckets": num_buckets,
-                        "block_size": block_size,
-                        "analyzer": analyzer,
-                    },
-                    batch_format="pyarrow",
-                    batch_size=tokenizer_batch_size,
-                    concurrency=tokenizer_concurrency,
-                )
-            else:
-                # task path: per-worker-process cached analyzer, no actor
-                # pool cold start (see postings.tokenize_batch)
-                postings = corpus.map_batches(
-                    tokenize_batch,
-                    fn_kwargs={"num_buckets": num_buckets, "block_size": block_size,
-                               "analyzer": analyzer},
-                    batch_format="pyarrow",
-                    batch_size=tokenizer_batch_size,
-                )
+            # tasks with a per-worker-process cached analyzer, no actor
+            # pool cold start (see postings.tokenize_batch)
+            postings = corpus.map_batches(
+                tokenize_batch,
+                fn_kwargs={"num_buckets": num_buckets, "block_size": block_size,
+                           "analyzer": analyzer},
+                batch_format="pyarrow",
+                batch_size=tokenizer_batch_size,
+            )
             if os.path.exists(postings_dir):
                 shutil.rmtree(postings_dir)  # stage is atomic: redo partial output
             if materialize:
@@ -582,15 +570,13 @@ def build_index(
                     m.mark_bucket(entry)
                     save_manifest(out_dir, m)
 
-            if bucket_parallelism is None:
-                # one bucket pipeline (read -> coarse groupby -> encode ->
-                # write) cannot feed a big node alone; ncpu/4 concurrent
-                # buckets keep it busy (measured: 4 fixed left 42% idle at
-                # 32 CPUs on the 5.3M-page XL leg — stage C was 2 waves of
-                # 4 buckets instead of one wave of 8)
-                ncpu = int(ray.cluster_resources().get("CPU", 8))
-                bucket_parallelism = max(4, ncpu // 4)
-            workers = min(bucket_parallelism, len(todo))
+            # one bucket pipeline (read -> coarse groupby -> encode ->
+            # write) cannot feed a big node alone; ncpu/4 concurrent
+            # buckets keep it busy (measured: 4 fixed left 42% idle at
+            # 32 CPUs on the 5.3M-page XL leg — stage C was 2 waves of
+            # 4 buckets instead of one wave of 8)
+            ncpu = int(ray.cluster_resources().get("CPU", 8))
+            workers = min(max(4, ncpu // 4), len(todo))
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 for fut in [pool.submit(_build_bucket, k) for k in todo]:
                     fut.result()

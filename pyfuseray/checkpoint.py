@@ -26,8 +26,12 @@ MANIFEST_NAME = "manifest.json"
 # Bump on ANY index layout/schema change: load_manifest returns None for
 # other versions, forcing a clean rebuild instead of silently reading a
 # stale layout. v2: segments/bucket=k hive layout, SPIMI run postings,
-# stats/docstats.parquet.
-FORMAT_VERSION = 2
+# stats/docstats.parquet. v3: segments drop max_tf and store max_bm25 as
+# scoring.bm25_contrib of the query's own idf (v2 bounds can sit a few
+# ulps low); tiered generations keep no stats/df_gK file; every tiered
+# manifest is v3, so a v2 reader rejects it instead of serving only the
+# base segments.
+FORMAT_VERSION = 3
 
 
 @dataclass
@@ -72,15 +76,16 @@ class Manifest:
     # merges a term's rows across generations at query time (BM25/
     # boolean exact; WAND falls back to TAAT and the tfidf/bulk/resident
     # tiers raise via require_single_generation until
-    # incremental.compact_tiers runs). Additive field — pre-existing
-    # manifests load as [] — so FORMAT_VERSION stays unchanged.
+    # incremental.compact_tiers runs). A reader that ignores this field
+    # would serve the base segments only, so it arrived with a
+    # FORMAT_VERSION bump (v3): older readers reject every v3 manifest.
     seg_generations: list[str] = field(default_factory=list)
     # count of tombstoned doc_ids in stats/deleted.parquet (see
     # pyfuseray/deletes.py). 0 means the sidecar is absent OR inert (a
     # crash between compact's manifest write and the sidecar unlink
     # leaves the file behind; readers gate on this count, so the stale
-    # file is never applied twice). Pre-delete manifests load as 0 —
-    # the sidecar is additive, so FORMAT_VERSION stays unchanged.
+    # file is never applied twice). A reader that ignores it would serve
+    # tombstoned docs; v3 (FORMAT_VERSION) keeps older readers out.
     n_deleted: int = 0
 
     # -- stage bookkeeping -------------------------------------------------

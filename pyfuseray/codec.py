@@ -23,13 +23,13 @@ loop over postings).
 
 Block metadata (parallel arrays, one entry per block):
     last_doc:  last (largest) doc_id in the block     -> WAND skipping
-    max_tf:    max term frequency in the block        -> TF-IDF block max
-                (TF-IDF weight is monotone in tf for fixed df/N)
+    max_tf:    max term frequency in the block        -> BM25 block bound
     offset:    byte offset of the block start in blob
 
 The BM25 block bound (``max_bm25``) needs global df and avgdl, so the
 codec does not compute it: ``segments.make_finalize`` derives it from
-``max_tf`` and the runs' per-block ``min_dl`` with ``scoring.bm25_contrib``.
+the runs' per-block ``max_tf`` and ``min_dl`` with
+``scoring.bm25_contrib``, and the segments keep only the bound.
 """
 
 from __future__ import annotations
@@ -171,47 +171,3 @@ def decode_span(
     start = int(offsets[lo])
     end = int(offsets[hi + 1]) if hi + 1 < offsets.size else len(blob)
     return decode_postings(memoryview(blob)[start:end], offsets[lo : hi + 1] - start)
-
-
-def decode_block(
-    blob: bytes | memoryview,
-    offsets: np.ndarray,
-    block_idx: int,
-    n_postings_hint: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a single block (for WAND skipping) without touching others."""
-    offsets = np.asarray(offsets, dtype=np.int64)
-    start = int(offsets[block_idx])
-    end = int(offsets[block_idx + 1]) if block_idx + 1 < offsets.size else len(blob)
-    values = varbyte_decode(memoryview(blob)[start:end])
-    deltas = values[0::2].astype(np.int64)
-    tfs = values[1::2].astype(np.int64)
-    doc_ids = np.cumsum(deltas)
-    return doc_ids, tfs
-
-
-def concat_encoded(parts: list[EncodedPostings]) -> EncodedPostings:
-    """Stitch split posting lists (disjoint ascending doc_id ranges).
-
-    This is the salted-term post-merge: pure byte concatenation — every
-    block starts with an absolute doc_id so no re-encoding is needed.
-    """
-    parts = [p for p in parts if len(p.blob)]
-    if not parts:
-        z = np.zeros(0, dtype=np.int64)
-        return EncodedPostings(b"", z, z, z)
-    if len(parts) == 1:
-        return parts[0]
-    blobs = []
-    shift = 0
-    offs = []
-    for p in parts:
-        blobs.append(p.blob)
-        offs.append(p.offset + shift)
-        shift += len(p.blob)
-    return EncodedPostings(
-        b"".join(blobs),
-        np.concatenate([p.last_doc for p in parts]),
-        np.concatenate([p.max_tf for p in parts]),
-        np.concatenate(offs),
-    )

@@ -1,15 +1,14 @@
 """Incremental index maintenance: add documents to a built index.
 
 The reference rebuilds from scratch on every corpus change
-(reference ``app/DataLoader.py:46, 77-89``). Here the expensive stage —
-tokenization — runs over the NEW documents only; their SPIMI runs land
-as a new postings GENERATION next to the persisted ``postings_raw``
-checkpoint, and only the (cheap, wide) merge + stats stages are redone
-over the union of generations with updated global stats (n_docs, avgdl,
-BM25 block bounds). Segment content is merge-order independent (the
-stage-C groupby repartitions by (term, salt)), so the result is
-posting-for-posting identical to a one-shot build over the concatenated
-corpus, and query results are rank-identical (pytest-pinned in
+(reference ``app/DataLoader.py:46, 77-89``). Here an add tokenizes only
+the NEW documents: ``build_index`` builds them as a new postings
+GENERATION in a staging dir, and the generation's runs, segments and
+docstats move next to the persisted ones. Segment content is
+merge-order independent (the stage-C groupby repartitions by (term,
+salt)), so a fold over the union of generations is posting-for-posting
+identical to a one-shot build over the concatenated corpus, and query
+results are rank-identical (pytest-pinned in
 ``tests/test_incremental.py``).
 
 Layout after k adds:
@@ -20,57 +19,62 @@ Layout after k adds:
                                 seg_generations: tiered segment dirs)
       postings_raw/bucket=b/   (generation 0 — the original build)
       postings_raw_g1/bucket=b/
-      segments/bucket=b/       (after a full add or a compaction: built
-                                over ALL generations; while tiered
-                                generations exist: the older ones only)
+      segments/bucket=b/       (after a fold: built over ALL generations;
+                                while tiered generations exist: the
+                                older ones only)
       segments_g1/bucket=b/    (one per tiered add since the last fold)
       stats/df.parquet  stats/docstats.parquet
-      stats/df_g1.parquet  stats/docstats_g1.parquet  (tiered adds)
+      stats/docstats_g1.parquet  (one per tiered add since the last fold)
 
-One path for every maintenance op. A full add, ``compact_tiers`` and
-``deletes.compact`` each make their own change (record a generation,
-fold the tiered generations, swap in a filtered generation), retire the
-derived stages with :func:`retire_derived` in the SAME atomic manifest
-write, then call :func:`finish_add`. ``finish_add`` resumes
-``build.build_index`` with ``corpus=None``: stages B-E rerun over the
-recorded generations exactly as a build's resume would, and at ``done``
-every generation path the manifest no longer names is removed.
+One build path for every write. An add runs ``build_index`` over the
+new docs alone (its merge input is the new runs only; the add's stage
+mark records ``merge_input_rows``) and records the generation in ONE
+manifest write. A full add, or a tiered add that reaches
+``max_generations``, also retires the derived stages with
+:func:`retire_derived` in that same write, then calls :func:`finish_add`
+(the fold); ``compact_tiers`` and ``deletes.compact`` do the same after
+their own change. ``finish_add`` resumes ``build.build_index`` with
+``corpus=None``: stages B-E rerun over the recorded generations exactly
+as a build's resume would, and at ``done`` every generation path the
+manifest no longer names is removed.
 
-Crash safety: a new generation dir is written to ``<dir>.writing`` and
-renamed into place BEFORE the manifest records it. A crash after the
-retiring manifest write leaves ``done=False``; rerun
-``finish_add(index_dir)`` (or ``add_documents`` with ``new_corpus=None``,
-or ``compact_tiers``) to finish the rebuild and remove the stale paths.
-Re-running ``add_documents`` with the same corpus instead would double-
-add it; the doc-range check below rejects that.
+Crash safety: the staged build writes only under
+``postings_raw_gK.staging``, and its outputs move to their generation
+names BEFORE the manifest records them. A crash before the manifest
+write leaves the index unchanged and ``done``; the leftovers are paths
+the manifest does not name, which a rerun of the add overwrites and
+``finish_add`` removes. A crash after a folding manifest write leaves
+``done=False``; rerun ``finish_add(index_dir)`` (or ``add_documents``
+with ``new_corpus=None``, or ``compact_tiers``) to finish the rebuild
+and remove the stale paths. Re-running ``add_documents`` with the same
+corpus after its manifest write would double-add it; the doc-range
+check below rejects that.
 
 Scale shape: tokenize streams over the new docs only; the merge is one
 groupby shuffle over compressed runs (bytes per posting, not rows); no
 stage materializes the corpus.
 
-Two add modes (the full mode re-merges ALL generations on every add,
-one full-index-sized shuffle per add):
+The two modes differ only in whether the manifest write folds:
 
 - ``mode="full"`` (default): exact, everything rebuilt — segments, df,
   docstats/norms, and any tiered generations folded in. Every query
   tier (WAND, tfidf, bulk, resident) works immediately; cost is
-  O(index) per add.
-- ``mode="tiered"`` (Lucene-style log-structured): the new generation
-  gets its OWN segments + stats built from ONLY its postings — the
-  merge shuffle input is the new docs' runs, never the existing index
-  (the ``tiered_add_g*`` stage mark records ``merge_input_rows`` as
-  evidence). The searcher merges a term's rows across generations at
-  query time: doc ranges are strictly increasing across generations,
-  so the merged posting list is a concatenation and BM25 TAAT /
-  boolean results are BIT-identical to a fresh build (idf from the
-  summed df, dl from per-generation docstats — both exact). Stale
-  derived state is GATED, not wrong: per-block max_bm25 bounds and
-  per-doc tfidf norms were computed against superseded global stats,
-  so WAND falls back to TAAT and search_tfidf / bulk search / the
-  resident tier raise (``checkpoint.require_single_generation``) until
-  :func:`compact_tiers` (triggered
-  automatically once ``max_generations`` accumulate) folds everything
-  back into one exact segment set == fresh build.
+  O(index) per add, plus the O(new) staged build whose segments the
+  fold replaces.
+- ``mode="tiered"`` (Lucene-style log-structured): the staged segments
+  and docstats stay as the generation's own, so the merge shuffle never
+  reads the existing index. The searcher merges a term's rows across
+  generations at query time: doc ranges are strictly increasing across
+  generations, so the merged posting list is a concatenation and BM25
+  TAAT / boolean results are BIT-identical to a fresh build (idf from
+  the summed df, dl from per-generation docstats — both exact). Stale
+  derived state is GATED, not wrong: a generation's per-block max_bm25
+  bounds and per-doc tfidf norms were computed against its own n_docs,
+  avgdl and df, so WAND falls back to TAAT and search_tfidf / bulk
+  search / the resident tier raise
+  (``checkpoint.require_single_generation``) until a fold —
+  :func:`compact_tiers`, or the add that reaches ``max_generations`` —
+  rebuilds one exact segment set == fresh build.
 """
 
 from __future__ import annotations
@@ -84,13 +88,8 @@ import pyarrow.dataset as pads
 import ray.data as rd
 from ray.data.aggregate import Max, Min
 
-from pyfuseray.build import (
-    DOCSTATS_WRITE, SEGMENT_WRITE, _sort_block_by_term, build_index,
-)
+from pyfuseray.build import build_index
 from pyfuseray.checkpoint import Manifest, load_manifest, save_manifest
-from pyfuseray.postings import tokenize_batch
-from pyfuseray.segments import build_bucket_segment
-from pyfuseray.stats import df_dataset, docstats_dataset, total_tokens
 
 
 def _generations(m: Manifest) -> list[str]:
@@ -101,13 +100,11 @@ def _seg_generations(m: Manifest) -> list[str]:
     return list(getattr(m, "seg_generations", None) or [])
 
 
-def seg_stat_paths(index_dir: str, seg_name: str) -> tuple[str, str]:
-    """(df, docstats) parquet paths for a tiered segment generation."""
+def seg_stat_paths(index_dir: str, seg_name: str) -> tuple[str]:
+    """The stats paths a tiered segment generation owns: its docstats
+    only (the searcher sums df from the generations' segment rows)."""
     suffix = seg_name.removeprefix("segments_")
-    return (
-        os.path.join(index_dir, "stats", f"df_{suffix}.parquet"),
-        os.path.join(index_dir, "stats", f"docstats_{suffix}.parquet"),
-    )
+    return (os.path.join(index_dir, "stats", f"docstats_{suffix}.parquet"),)
 
 
 def _docstats_paths(index_dir: str, m: Manifest | None) -> list[str]:
@@ -117,7 +114,7 @@ def _docstats_paths(index_dir: str, m: Manifest | None) -> list[str]:
     paths = [os.path.join(index_dir, "stats", "docstats.parquet")]
     if m is not None:
         paths.extend(
-            seg_stat_paths(index_dir, s)[1] for s in _seg_generations(m)
+            p for s in _seg_generations(m) for p in seg_stat_paths(index_dir, s)
         )
     return paths
 
@@ -183,11 +180,12 @@ def add_documents(
     ``new_corpus=None`` redoes the merge/stats from the generations the
     manifest already records (crash repair — see module docstring).
 
-    ``mode``: "full" records the generation, retires the derived stages
-    and re-merges every generation through ``finish_add`` (exact,
-    O(index) per add); "tiered" builds the new generation's own
-    segments only (O(new docs) per add, see module docstring for the
-    staleness gates) and auto-compacts once ``max_generations`` tiered
+    Every add builds the new generation with ``build_index`` in a
+    staging dir and records it in one manifest write. ``mode``: "full"
+    folds every generation in that same write and re-merges through
+    ``finish_add`` (exact, O(index) per add); "tiered" keeps the new
+    generation's own segments (O(new docs) per add, see module docstring
+    for the staleness gates) and folds once ``max_generations`` tiered
     generations accumulate.
     """
     assert mode in ("full", "tiered")
@@ -218,118 +216,51 @@ def add_documents(
         )
     # the new ids continue 0..n_docs-1 without a gap (see ids_dense)
     dense_ids = lo == m.n_docs and hi - lo + 1 == n_new
-    gen_name = f"postings_raw_g{len(gens)}"
-    gen_dir = os.path.join(index_dir, gen_name)
-    tmp = gen_dir + ".writing"
-    shutil.rmtree(tmp, ignore_errors=True)
-    shutil.rmtree(gen_dir, ignore_errors=True)
+    suffix = f"g{len(gens)}"
+    gen_name, seg_name = f"postings_raw_{suffix}", f"segments_{suffix}"
+    staging = os.path.join(index_dir, gen_name + ".staging")
     t0 = time.perf_counter()
-    runs = new_corpus.map_batches(
-        tokenize_batch,
-        fn_kwargs={
-            "num_buckets": m.num_buckets,
-            "block_size": m.block_size or None,
-            "analyzer": m.analyzer,
-        },
-        batch_format="pyarrow",
-        batch_size=tokenizer_batch_size,
+    # n_docs=n_new: the staged norms and block bounds use this
+    # generation's own stats; nothing reads them before a fold rewrites
+    # them (module docstring)
+    staged = build_index(
+        new_corpus, staging, n_docs=n_new, num_buckets=m.num_buckets,
+        num_salts=m.num_salts, block_size=m.block_size or None,
+        analyzer=m.analyzer, tokenizer_batch_size=tokenizer_batch_size,
+        overwrite=True,
     )
-    runs.write_parquet(tmp, partition_cols=["bucket"])
-    os.replace(tmp, gen_dir)
-
-    if mode == "tiered":
-        new_total = total_tokens(rd.read_parquet(gen_dir, columns=["cf"]))
-        return _register_tiered_generation(
-            index_dir, m, gen_name, n_new, new_total, t0, max_generations,
-            dense_ids,
-        )
-
-    # ONE atomic manifest write: record the generation AND retire the
-    # stages it obsoletes (finish_add restates avgdl from the runs)
-    m.generations = gens + [gen_name]
-    m.n_docs += n_new
-    retire_derived(m)
-    m.mark_stage(
-        f"add_g{len(gens)}",
-        wall_s=round(time.perf_counter() - t0, 3),
-        n_new=n_new,
-        dense_ids=dense_ids,
-    )
-    save_manifest(index_dir, m)
-    return finish_add(index_dir)
-
-
-def _register_tiered_generation(
-    index_dir: str,
-    m: Manifest,
-    gen_name: str,
-    n_new: int,
-    new_total: int,
-    t0: float,
-    max_generations: int,
-    dense_ids: bool,
-) -> Manifest:
-    """Build the new generation's OWN segments + stats (merge input =
-    the new runs only) and register it in ONE atomic manifest write.
-    The index stays ``done`` (queryable) throughout; a crash before the
-    manifest write leaves only inert orphan dirs that the next attempt
-    overwrites."""
     gen_dir = os.path.join(index_dir, gen_name)
-    seg_name = "segments_" + gen_name.removeprefix("postings_raw_")
-    seg_dir = os.path.join(index_dir, seg_name)
-    new_n_docs = m.n_docs + n_new
-    new_avgdl = (m.total_postings + new_total) / max(1, new_n_docs)
+    for src, dst in (
+        ("postings_raw", gen_dir),
+        ("segments", os.path.join(index_dir, seg_name)),
+        ("stats/docstats.parquet", seg_stat_paths(index_dir, seg_name)[0]),
+    ):
+        src = os.path.join(staging, src)
+        shutil.rmtree(dst, ignore_errors=True)
+        os.replace(src, dst)
+    shutil.rmtree(staging)
 
-    runs_ds = rd.read_parquet(gen_dir)
-    merge_input_rows = runs_ds.count()  # the evidence: new-gen rows only
-    seg = build_bucket_segment(
-        runs_ds,
-        n_docs=new_n_docs,
-        avgdl=new_avgdl,
-        num_salts=m.num_salts,
-        block_size=m.block_size or None,
-    )
-    seg_tmp = seg_dir + ".writing"
-    shutil.rmtree(seg_tmp, ignore_errors=True)
-    shutil.rmtree(seg_dir, ignore_errors=True)
-    seg.map_batches(
-        _sort_block_by_term, batch_format="pyarrow", batch_size=None
-    ).write_parquet(seg_tmp, **SEGMENT_WRITE)
-    os.replace(seg_tmp, seg_dir)
-
-    df_path, docstats_path = seg_stat_paths(index_dir, seg_name)
-    seg_disk = rd.read_parquet(seg_dir)
-    for path in (df_path, docstats_path):
-        shutil.rmtree(path + ".writing", ignore_errors=True)
-        shutil.rmtree(path, ignore_errors=True)
-    df_dataset(seg_disk).write_parquet(df_path + ".writing")
-    os.replace(df_path + ".writing", df_path)
-    # dl is exact; the norm column is computed against this generation's
-    # own df (tfidf is gated until compact_tiers — module docstring)
-    docstats_dataset(seg_disk, new_n_docs).sort("doc_id").write_parquet(
-        docstats_path + ".writing", **DOCSTATS_WRITE
-    )
-    os.replace(docstats_path + ".writing", docstats_path)
-
-    gens = _generations(m)
-    gens.append(gen_name)
-    m.generations = gens
+    # ONE atomic manifest write: record the generation and, for a full
+    # add or at max_generations, retire every derived stage (the fold)
+    m.generations = gens + [gen_name]
     m.seg_generations = _seg_generations(m) + [seg_name]
-    m.n_docs = new_n_docs
-    m.total_postings += new_total
-    m.avgdl = new_avgdl
+    m.n_docs += n_new
+    m.total_postings += staged.total_postings
+    m.avgdl = m.total_postings / m.n_docs
     m.mark_stage(
-        f"tiered_add_{gen_name.removeprefix('postings_raw_')}",
+        f"tiered_add_{suffix}" if mode == "tiered" else f"add_{suffix}",
         wall_s=round(time.perf_counter() - t0, 3),
         n_new=n_new,
-        new_tokens=new_total,
-        merge_input_rows=int(merge_input_rows),
+        new_tokens=staged.total_postings,
+        # the merge shuffle's input: the new generation's runs only
+        merge_input_rows=pads.dataset(gen_dir, format="parquet").count_rows(),
         dense_ids=dense_ids,
     )
+    fold = mode == "full" or len(m.seg_generations) >= max_generations
+    if fold:
+        retire_derived(m)
     save_manifest(index_dir, m)
-    if len(m.seg_generations) >= max_generations:
-        return compact_tiers(index_dir)
-    return m
+    return finish_add(index_dir) if fold else m
 
 
 def compact_tiers(index_dir: str) -> Manifest:
@@ -366,9 +297,10 @@ def retire_derived(m: Manifest) -> None:
 def finish_add(index_dir: str) -> Manifest:
     """Bring the index to ``done``: resume ``build_index`` on the postings
     generations the manifest records, then remove every generation path
-    (``postings_raw*``, ``segments_g*``, ``stats/{df,docstats}_g*``) the
-    manifest no longer names. Idempotent; repairs a maintenance op that
-    crashed after its retiring manifest write."""
+    (``postings_raw*``, ``segments_g*``, ``stats/docstats_g*``) the
+    manifest no longer names, an add's leftover staging dir included.
+    Idempotent; repairs a maintenance op that crashed after its retiring
+    manifest write."""
     m = load_manifest(index_dir)
     if m is None:
         raise FileNotFoundError(f"no index manifest in {index_dir}")
@@ -380,8 +312,7 @@ def finish_add(index_dir: str) -> Manifest:
     seg_gens = _seg_generations(m)
     keep = {os.path.join(index_dir, g) for g in _generations(m) + seg_gens}
     keep.update(p for s in seg_gens for p in seg_stat_paths(index_dir, s))
-    for pattern in ("postings_raw*", "segments_g*", "stats/df_g*",
-                    "stats/docstats_g*"):
+    for pattern in ("postings_raw*", "segments_g*", "stats/docstats_g*"):
         for p in set(glob.glob(os.path.join(index_dir, pattern))) - keep:
             shutil.rmtree(p)
     return m

@@ -55,7 +55,6 @@ class SegmentRow:
     cf: int
     blob: bytes
     last_doc: np.ndarray
-    max_tf: np.ndarray
     max_bm25: np.ndarray
     offset: np.ndarray
 
@@ -76,7 +75,6 @@ def _merge_seg_rows(rows: list[SegmentRow]) -> SegmentRow:
         cf=sum(r.cf for r in rows),
         blob=blob,
         last_doc=np.concatenate([r.last_doc for r in rows]),
-        max_tf=np.concatenate([r.max_tf for r in rows]),
         max_bm25=np.concatenate([r.max_bm25 for r in rows]),
         offset=np.concatenate(
             [r.offset + s for r, s in zip(rows, shifts)]
@@ -196,15 +194,14 @@ class IndexSearcher:
             for seg_name in self._seg_dirs:
                 for tbl in read_matching(self._bucket_footers(seg_name, bucket), "term", ts):
                     cols = [tbl.column(c).to_pylist() for c in (
-                        "term", "df", "cf", "blob", "last_doc", "max_tf", "max_bm25", "offset")]
-                    for term, df, cf, blob, last_doc, max_tf, max_bm25, offset in zip(*cols):
+                        "term", "df", "cf", "blob", "last_doc", "max_bm25", "offset")]
+                    for term, df, cf, blob, last_doc, max_bm25, offset in zip(*cols):
                         acc.setdefault(term, []).append(SegmentRow(
                             term=term,
                             df=int(df),
                             cf=int(cf),
                             blob=blob,
                             last_doc=np.asarray(last_doc, dtype=np.int64),
-                            max_tf=np.asarray(max_tf, dtype=np.int64),
                             max_bm25=np.asarray(max_bm25, dtype=np.float64),
                             offset=np.asarray(offset, dtype=np.int64),
                         ))
@@ -249,14 +246,9 @@ class IndexSearcher:
     # be dense (compaction keeps original ids, appends leave url-collision
     # holes).
     def _load_docstats(self) -> None:
-        paths = [os.path.join(self.index_dir, "stats", "docstats.parquet")]
-        if self._multi_gen:
-            from pyfuseray.incremental import seg_stat_paths
+        from pyfuseray.incremental import _docstats_paths
 
-            paths.extend(
-                seg_stat_paths(self.index_dir, s)[1]
-                for s in self._seg_dirs[1:]
-            )
+        paths = _docstats_paths(self.index_dir, self.manifest)
         tbls = [
             pads.dataset(p, format="parquet").to_table()
             for p in paths

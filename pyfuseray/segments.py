@@ -24,8 +24,10 @@ Heavily fragmented lists (many tiny per-batch blocks) are re-blocked by
 a vectorized decode + re-encode in finalize.
 
 Final segment schema (one row per term, term-sorted within files):
-    term, bucket, df, cf, blob, last_doc/max_tf: list<int64>,
+    term, bucket, df, cf, blob, last_doc: list<int64>,
     max_bm25: list<float64>, offset: list<int64>
+The runs' per-block max_tf and min_dl are consumed by the bound and not
+kept: no reader needs them once max_bm25 exists.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ SEGMENT_SCHEMA = pa.schema(
         ("cf", pa.int64()),
         ("blob", pa.binary()),
         ("last_doc", pa.list_(pa.int64())),
-        ("max_tf", pa.list_(pa.int64())),
         ("max_bm25", pa.list_(pa.float64())),
         ("offset", pa.list_(pa.int64())),
     ]
@@ -304,7 +305,6 @@ def make_finalize(n_docs: int, avgdl: float, block_size: int | None = None):
                 "cf": batch.column("cf"),
                 "blob": batch.column("blob"),
                 "last_doc": batch.column("last_doc"),
-                "max_tf": batch.column("max_tf"),
                 "max_bm25": max_bm25,
                 "offset": batch.column("offset"),
             },
@@ -314,7 +314,7 @@ def make_finalize(n_docs: int, avgdl: float, block_size: int | None = None):
     def finalize_reblock(batch: pa.Table, idf: np.ndarray) -> pa.Table:
         cols = batch.to_pydict()  # one bulk conversion, no per-cell .as_py()
         out = {k: [] for k in ("term", "bucket", "df", "cf", "blob",
-                               "last_doc", "max_tf", "max_bm25", "offset")}
+                               "last_doc", "max_bm25", "offset")}
         for i in range(batch.num_rows):
             d, t = decode_postings(
                 cols["blob"][i], np.asarray(cols["offset"][i], dtype=np.int64)
@@ -329,7 +329,6 @@ def make_finalize(n_docs: int, avgdl: float, block_size: int | None = None):
             out["cf"].append(cols["cf"][i])
             out["blob"].append(enc.blob)
             out["last_doc"].append(enc.last_doc.tolist())
-            out["max_tf"].append(enc.max_tf.tolist())
             out["max_bm25"].append(bound.tolist())
             out["offset"].append(enc.offset.tolist())
         return pa.table(out, schema=SEGMENT_SCHEMA)

@@ -2,7 +2,8 @@
 
 - N (doc_count): corpus count — includes zero-token docs, matching the
   reference's ``doc_count = len(documents)`` (``app/InvertedIndexFinal.py:259``).
-- avgdl: total token count via a native shuffle-free sum over run rows.
+- avgdl: total token count = the sum of cf in ``final_df_table``, one
+  blob-free pass over the run rows.
 - df/cf: projection of the segment rows (no extra shuffle — df is the
   posting-list length, ``app/InvertedIndexFinal.py:249``).
 - docstats (doc length + EXACT post-merge cosine norms, v1 semantics
@@ -23,12 +24,6 @@ import ray.data as rd
 
 from pyfuseray.codec import decode_postings
 from pyfuseray.scoring import tfidf_weight_vec
-
-
-def total_tokens(runs: rd.Dataset) -> int:
-    """Collection token count = sum(cf) over run rows — a native,
-    shuffle-free aggregate (avgdl = total_tokens / N)."""
-    return int(runs.sum("cf") or 0)
 
 
 def df_dataset(segments: rd.Dataset) -> rd.Dataset:

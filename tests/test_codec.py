@@ -5,10 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pyfuseray.codec import (
-    EncodedPostings,
-    concat_encoded,
-    decode_block,
     decode_postings,
+    decode_span,
     encode_postings,
     varbyte_decode,
     varbyte_encode,
@@ -55,27 +53,9 @@ def test_block_metadata_true_maxima():
         lo, hi = b * 128, min((b + 1) * 128, 1000)
         assert enc.last_doc[b] == doc_ids[hi - 1]
         assert enc.max_tf[b] == tfs[lo:hi].max()
-        d, t = decode_block(enc.blob, enc.offset, b)
+        d, t = decode_span(enc.blob, enc.offset, b, b)
         assert np.array_equal(d, doc_ids[lo:hi])
         assert np.array_equal(t, tfs[lo:hi])
-
-
-def test_concat_encoded_equals_single_encode_decode():
-    """Salted-split stitch: concatenated split blobs decode to the full list."""
-    rng = np.random.default_rng(11)
-    doc_ids = np.sort(rng.choice(10**6, size=900, replace=False)).astype(np.int64)
-    tfs = rng.integers(1, 9, size=900).astype(np.int64)
-    parts = []
-    for lo, hi in [(0, 300), (300, 301), (301, 900)]:
-        parts.append(encode_postings(doc_ids[lo:hi], tfs[lo:hi]))
-    stitched = concat_encoded(parts)
-    d, t = decode_postings(stitched.blob, stitched.offset)
-    assert np.array_equal(d, doc_ids)
-    assert np.array_equal(t, tfs)
-    # and per-block access still works across the stitch boundary
-    for b in range(stitched.last_doc.size):
-        db, _ = decode_block(stitched.blob, stitched.offset, b)
-        assert db[-1] == stitched.last_doc[b]
 
 
 def test_empty():
@@ -83,8 +63,6 @@ def test_empty():
     assert enc.blob == b""
     d, t = decode_postings(enc.blob, enc.offset)
     assert d.size == 0 and t.size == 0
-    assert concat_encoded([]).blob == b""
-    assert isinstance(concat_encoded([enc, enc]), EncodedPostings)
 
 
 @given(
@@ -106,6 +84,6 @@ def test_postings_roundtrip_any_block_size(pairs, block_size):
     nblocks = enc.last_doc.size
     assert nblocks == (len(pairs) + block_size - 1) // block_size
     for b in range(nblocks):
-        db, tb = decode_block(enc.blob, enc.offset, b)
+        db, tb = decode_span(enc.blob, enc.offset, b, b)
         lo, hi = b * block_size, min((b + 1) * block_size, len(pairs))
         assert np.array_equal(db, doc_ids[lo:hi])

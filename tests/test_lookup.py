@@ -65,7 +65,6 @@ def _brute_force(ix, seg_dirs):
             "cf": sum(r["cf"] for r in rows),
             "blob": b"".join(r["blob"] for r in rows),
             "last_doc": np.concatenate([np.asarray(r["last_doc"], np.int64) for r in rows]),
-            "max_tf": np.concatenate([np.asarray(r["max_tf"], np.int64) for r in rows]),
             "max_bm25": np.concatenate([np.asarray(r["max_bm25"], np.float64) for r in rows]),
             "offset": np.concatenate(
                 [np.asarray(r["offset"], np.int64) + s for r, s in zip(rows, shifts)]
@@ -80,7 +79,7 @@ def _assert_rows_equal(got, want):
         w = want[term]
         assert row.term == term
         assert (row.df, row.cf, row.blob) == (w["df"], w["cf"], w["blob"]), term
-        for f in ("last_doc", "max_tf", "max_bm25", "offset"):
+        for f in ("last_doc", "max_bm25", "offset"):
             v = getattr(row, f)
             assert v.dtype == w[f].dtype, (term, f)
             assert np.array_equal(v, w[f]), (term, f)

@@ -112,6 +112,59 @@ def test_stale_tiers_gated_not_wrong(tiered):
         ), q
 
 
+def test_crash_inside_staged_build_leaves_index_unchanged(
+    tiered, tmp_path, monkeypatch
+):
+    """A tiered add builds its generation with build_index in a staging
+    dir: a crash inside that build leaves the index manifest as it was
+    and the answers right, a rerun of the same add succeeds, and no
+    staging path is left."""
+    import shutil
+
+    from pyfuseray import build
+    from pyfuseray.oracle import OracleIndex
+
+    _, tod, _, texts = tiered
+    ix = str(tmp_path / "ix")
+    shutil.copytree(tod, ix)
+    extra = _texts(30, seed=19)
+    docs = dict(enumerate(texts))
+
+    def assert_matches_oracle():
+        oracle = OracleIndex().build(sorted(docs.items()))
+        s = IndexSearcher(ix)
+        for q in QUERIES:
+            want, got = oracle.search_bm25(q, 10), s.search_bm25(q, 10)
+            assert [d for d, _ in got] == [d for d, _ in want], q
+            assert all(abs(x - y) < 1e-9
+                       for (_, x), (_, y) in zip(got, want)), q
+
+    with open(os.path.join(ix, "manifest.json")) as fh:
+        before = fh.read()
+    real = build.save_manifest
+
+    def save(index_dir, m):
+        if index_dir.endswith(".staging"):
+            raise RuntimeError("simulated crash")
+        real(index_dir, m)
+
+    monkeypatch.setattr(build, "save_manifest", save)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        add_documents(ix, _ds(extra, len(texts)), mode="tiered",
+                      max_generations=10)
+    monkeypatch.undo()
+    with open(os.path.join(ix, "manifest.json")) as fh:
+        assert fh.read() == before
+    assert_matches_oracle()
+
+    m = add_documents(ix, _ds(extra, len(texts)), mode="tiered",
+                      max_generations=10)
+    assert m.seg_generations == ["segments_g1", "segments_g2", "segments_g3"]
+    docs.update(enumerate(extra, len(texts)))
+    assert_matches_oracle()
+    assert not [p for p in os.listdir(ix) if p.endswith(".staging")]
+
+
 def test_compact_tiers_equals_fresh_build(tiered):
     import numpy as np
     import pyarrow.dataset as pads
