@@ -462,18 +462,25 @@ def _bench_ivf(n_vecs: int = 200_000, dim: int = 64, n_queries: int = 8) -> dict
     return out
 
 
-def _bench_dedup(corpus_dir: str, num_cpus: int, rounds: int = 2) -> dict:
-    """Dedup-family throughput (docs/s) over the bench corpus: exact
-    fingerprint dedup, MinHash-LSH candidates, SimHash banding.
+def _bench_dedup(corpus_dir: str, num_cpus: int, rounds: int = 5) -> dict:
+    """Dedup-family throughput over the bench corpus, per stage (exact
+    fingerprint dedup, MinHash-LSH candidates, SimHash banding, span
+    dedup, packing, duplicated substrings): ``<stage>_docs_per_cpu_s``
+    is docs per busy CPU-second, ``<stage>_docs_per_sec`` docs per wall
+    second, each the MEDIAN over ``rounds`` interleaved rounds.
+
+    Busy CPU is the host's busy jiffies (user, nice, system, irq,
+    softirq) across the stage, read from /proc/stat before and after —
+    the same read-only measure perfbench uses. Wall time on this shared
+    host moves with the neighbours' load (wall best-of-2 spread up to
+    46% between identical runs); busy CPU counts the work done.
 
     Measurement hygiene (the round-3 'regression' postmortem): the
     corpus checkpoint is written as ~64 small files, and an unpinned
     read shatters them into ~300-row blocks whose task dispatch
     dominates the whole family (measured exact dedup 12k docs/s unpinned
     vs 39k at ~2.4k-row blocks on the same data in the same window) —
-    so the read fan-out is pinned like build_from_pages' ingest. And the
-    host drifts ±40%, so every metric is a best-of over interleaved
-    rounds, same as the build rows."""
+    so the read fan-out is pinned like build_from_pages' ingest."""
     import ray.data as rd
 
     from pyfuseray.extras.dedup import (
@@ -496,35 +503,35 @@ def _bench_dedup(corpus_dir: str, num_cpus: int, rounds: int = 2) -> dict:
             corpus_dir, columns=["doc_id", "text"], override_num_blocks=nb
         )
 
+    hz = os.sysconf("SC_CLK_TCK")
     out: dict = {"n_docs": n, "read_blocks": nb, "rounds": rounds}
-    cleaned = None
-    best: dict[str, float] = {}
+    walls: dict[str, list[float]] = {}
+    busy: dict[str, list[float]] = {}
+
+    def timed(stage: str, run):
+        s0, t0 = _proc_stat(), time.perf_counter()
+        result = run()
+        walls.setdefault(stage, []).append(time.perf_counter() - t0)
+        d = [b - a for a, b in zip(s0, _proc_stat())]
+        busy.setdefault(stage, []).append((d[0] + d[1] + d[2] + d[5] + d[6]) / hz)
+        return result
+
     for _ in range(rounds):
-        t0 = time.perf_counter()
-        out["exact_survivors"] = exact_dedup(corpus(), n_docs=n).count()
-        best["exact"] = min(best.get("exact", 1e9), time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        out["minhash_candidates"] = minhash_candidate_pairs(corpus(), n_docs=n).count()
-        best["minhash"] = min(best.get("minhash", 1e9), time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        out["simhash_candidates"] = simhash_candidates(corpus(), n_docs=n).count()
-        best["simhash"] = min(best.get("simhash", 1e9), time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        cleaned = dedup_spans(corpus(), k=4, min_docs=2).materialize()
-        best["spandedup"] = min(best.get("spandedup", 1e9), time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        pack_sequences(token_counts(corpus()), seq_len=2048).count()
-        best["pack"] = min(best.get("pack", 1e9), time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        out["substr_spans"] = duplicated_substring_spans(
-            corpus(), min_len=5
-        ).count()
-        best["substrdedup"] = min(
-            best.get("substrdedup", 1e9), time.perf_counter() - t0
-        )
-    for k, t in best.items():
-        out[f"{k}_docs_per_sec"] = round(n / t, 1)
-    out["spandedup_chunks_dropped"] = int(cleaned.sum("n_dropped") or 0)
+        out["exact_survivors"] = timed(
+            "exact", lambda: exact_dedup(corpus(), n_docs=n).count())
+        out["minhash_candidates"] = timed(
+            "minhash", lambda: minhash_candidate_pairs(corpus(), n_docs=n).count())
+        out["simhash_candidates"] = timed(
+            "simhash", lambda: simhash_candidates(corpus(), n_docs=n).count())
+        out["spandedup_chunks_dropped"] = timed(
+            "spandedup",
+            lambda: int(dedup_spans(corpus(), k=4, min_docs=2).sum("n_dropped") or 0))
+        timed("pack", lambda: pack_sequences(token_counts(corpus()), seq_len=2048).count())
+        out["substr_spans"] = timed(
+            "substrdedup", lambda: duplicated_substring_spans(corpus(), min_len=5).count())
+    for k in walls:
+        out[f"{k}_docs_per_sec"] = round(n / statistics.median(walls[k]), 1)
+        out[f"{k}_docs_per_cpu_s"] = round(n / max(statistics.median(busy[k]), 1e-9), 1)
     return out
 
 

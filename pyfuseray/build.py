@@ -231,14 +231,17 @@ def build_index(
     the manifest's); it raises when stage A is not done. Every index
     maintenance op ends this way (``incremental.finish_add``).
 
-    ``corpus_sorted``: the caller guarantees the corpus arrives
-    doc_id-sorted with a canonical block structure (the production
-    ingest in ``pipeline.build_from_pages`` sorts before building).
-    That enables the run-decode docstats fast path, whose float
-    summation order follows the run structure: norms can differ from
-    the canonical segment-decode path in the last ulp (~1e-14, far
-    inside the 1e-9 conformance tolerance) but are reproducible for a
-    given corpus layout. Callers that rebuild the same logical corpus
+    ``corpus_sorted``: the caller does not need this build's norm bits
+    to be reproducible across row orders. It takes the run-decode
+    docstats route, whose float summation order follows the run
+    structure: norms can differ from the canonical segments decode in
+    the last ulp (~1e-14, far inside the 1e-9 conformance tolerance) but
+    are reproducible for a given corpus layout, and ``dl`` is the same
+    integer on either route. The route is fastest on a doc_id-sorted
+    corpus (doc-range-clustered runs). ``pipeline.build_from_pages``
+    sorts before building and sets it; ``incremental.add_documents``
+    sets it because nothing reads a staged generation's norms before a
+    fold rewrites them. Callers that rebuild the same logical corpus
     under DIFFERENT row orders and require bit-identical tie-breaks
     (the sorted-vs-unsorted and interrupted-resume invariants in
     tests/) leave this False and take the canonical segments decode.

@@ -35,6 +35,7 @@ import ray.data as rd
 
 from pyfuseray.analyzer import make_analyzer
 from pyfuseray.checkpoint import load_manifest, require_single_generation
+from pyfuseray.coarse import coarse_bucket, coarse_groups
 from pyfuseray.codec import decode_postings
 from pyfuseray.scoring import (
     BM25_B,
@@ -236,11 +237,6 @@ def _ranked_broadcast(index_dir, m, plan, segments, top_k, scoring, k1, b):
     )
 
 
-# coarse doc-bucket count for the ranged docstats join (same bounded-
-# group-count policy as the dedup family / hash_join)
-COARSE_DOC_GROUPS = 1024
-
-
 def _ranked_ranged(index_dir, m, plan, segments, top_k, scoring, k1, b):
     """The corpus-scale docstats shape: per-doc stats are never
     broadcast. Score partials leave the segment pass WITHOUT dl/norm
@@ -253,11 +249,7 @@ def _ranked_ranged(index_dir, m, plan, segments, top_k, scoring, k1, b):
     expressions; sums tolerate the usual reduce-order ulp)."""
     n_docs, avgdl = m.n_docs, m.avgdl or 1.0
     q_ref, del_ref, qnorms = plan
-
-    def _coarse_doc(ids: np.ndarray) -> np.ndarray:
-        return (
-            ids.astype(np.uint64) * np.uint64(11400714819323198485) >> np.uint64(32)
-        ) % np.uint64(COARSE_DOC_GROUPS)
+    groups = coarse_groups()
 
     def _tbl(qid, did, x1, x2, side) -> pa.Table:
         return pa.table(
@@ -268,8 +260,7 @@ def _ranked_ranged(index_dir, m, plan, segments, top_k, scoring, k1, b):
                 "x2": pa.array(x2, pa.float64()),
                 "side": pa.array(side, pa.int8()),
                 "_db": pa.array(
-                    _coarse_doc(np.asarray(did, dtype=np.int64)).astype(np.int64),
-                    pa.int64(),
+                    coarse_bucket(np.asarray(did, dtype=np.int64), n_groups=groups)
                 ),
             }
         )

@@ -19,10 +19,10 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-
-import pandas as pd
 import pyarrow as pa
 import ray.data as rd
+
+from pyfuseray.coarse import coarse_bucket, coarse_groups
 
 
 def _fingerprint(text: str) -> str:
@@ -78,7 +78,7 @@ def dedup_keep_first(ds: rd.Dataset, key: str = "url", order_col: str = "warc_ts
 
     Partitioning assumption: the duplicated-key set fits in the object
     store (ray.put broadcast). If it ever didn't, the fallback is the
-    all-rows groupby(key).map_groups path (``_dedup_via_groups``).
+    all-rows coarse-bucket groupby path (``_dedup_via_groups``).
     """
     import ray
     from ray.data.aggregate import Count
@@ -125,11 +125,7 @@ def dedup_keep_first(ds: rd.Dataset, key: str = "url", order_col: str = "warc_ts
 
     uniques = ds.map_batches(split_uniques, batch_format="pyarrow")
     dup_rows = ds.map_batches(split_dups, batch_format="pyarrow")
-    resolved = _dedup_via_groups(dup_rows, key, order_col)
-    # normalize to arrow blocks: a union of pandas (map_groups) and arrow
-    # blocks breaks Ray's sort boundary sampling downstream
-    resolved = resolved.map_batches(lambda t: t, batch_format="pyarrow")
-    return uniques.union(resolved)
+    return uniques.union(_dedup_via_groups(dup_rows, key, order_col))
 
 
 def dedup_pages_keep_first(
@@ -238,7 +234,7 @@ def dedup_pages_keep_first(
 
     resolved = _dedup_via_groups(
         pages.map_batches(only_ambiguous, batch_format="pyarrow"), "url", "warc_ts"
-    ).map_batches(lambda t: t, batch_format="pyarrow")
+    )
     out = deduped.union(resolved)
     return (out, n_after) if with_count else out
 
@@ -429,7 +425,7 @@ def resolve_ambiguous_rows(pages: rd.Dataset, plan: IngestPlan) -> rd.Dataset:
     resolved = _dedup_via_groups(
         pages.map_batches(only_ambiguous, batch_format="pyarrow"),
         "url", "warc_ts",
-    ).map_batches(lambda t: t, batch_format="pyarrow")
+    )
 
     def assign_ids_only(batch: pa.Table) -> pa.Table:
         sorted_urls = ray.get(urls_ref)
@@ -441,16 +437,31 @@ def resolve_ambiguous_rows(pages: rd.Dataset, plan: IngestPlan) -> rd.Dataset:
 
 
 def _dedup_via_groups(ds: rd.Dataset, key: str, order_col: str) -> rd.Dataset:
-    """Per-group keep-min path (also the no-broadcast fallback)."""
+    """Per-key keep-min of ``(order_col, md5(text))`` (also the
+    no-broadcast fallback): one shuffle on a coarse bucket of the key,
+    then one lexsort per group selects every key's survivor."""
+    groups = coarse_groups()
 
-    def take_first(group: pd.DataFrame) -> pd.DataFrame:
-        if len(group) == 1:
-            return group
-        fp = group["text"].map(lambda t: _fingerprint(t or ""))
-        order = sorted(range(len(group)), key=lambda i: (group[order_col].iloc[i], fp.iloc[i]))
-        return group.iloc[[order[0]]]
+    def add_cb(batch: pa.Table) -> pa.Table:
+        cb = coarse_bucket(batch.column(key), n_groups=groups)
+        return batch.append_column("_cb", pa.array(cb))
 
-    return ds.groupby(key).map_groups(take_first, batch_format="pandas")
+    def take_first(group: pa.Table) -> pa.Table:
+        codes = (
+            group.column(key).combine_chunks().dictionary_encode().indices
+            .to_numpy(zero_copy_only=False)
+        )
+        ts = group.column(order_col).to_numpy(zero_copy_only=False)
+        fp = np.array([_fingerprint(t or "") for t in group.column("text").to_pylist()])
+        order = np.lexsort((fp, ts, codes))
+        first = np.concatenate(([True], np.diff(codes[order]) != 0))
+        return group.take(pa.array(order[first])).drop_columns(["_cb"])
+
+    return (
+        ds.map_batches(add_cb, batch_format="pyarrow")
+        .groupby("_cb")
+        .map_groups(take_first, batch_format="pyarrow")
+    )
 
 
 def assign_doc_ids(ds: rd.Dataset, n_rows: int | None = None) -> rd.Dataset:

@@ -31,7 +31,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-COARSE_KEY_GROUPS = 512
+from pyfuseray.coarse import coarse_bucket, coarse_groups
 
 
 def asof_join(
@@ -63,18 +63,14 @@ def asof_join(
     r_types = dict(zip(r_schema.names, r_schema.types))
     payload_fields = [(p, r_types[p]) for p in payload]
     left_names = set(l_schema.names)
+    groups = coarse_groups()
 
     def _tag(side: int):
         def tag(batch: pa.Table) -> pa.Table:
             n = batch.num_rows
             key = batch.column(by).cast(pa.int64())
-            k = key.to_numpy(zero_copy_only=False)
-            cb = (
-                k.astype(np.uint64) * np.uint64(11400714819323198485)
-                >> np.uint64(32)
-            ) % np.uint64(COARSE_KEY_GROUPS)
             cols: dict[str, object] = {
-                "_cb": pa.array(cb.astype(np.int64)),
+                "_cb": pa.array(coarse_bucket(key, n_groups=groups)),
                 "_key": key,
                 "_on": batch.column(on).cast(pa.int64()),
                 "_side": pa.array(np.full(n, side, dtype=np.int8), pa.int8()),

@@ -34,25 +34,17 @@ tests/test_components.py.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data as rd
 
-COARSE_NODE_GROUPS = 512
+from pyfuseray.coarse import coarse_bucket, coarse_groups
+
 DRIVER_MAX_PAIRS = 5_000_000
 # every map_groups emits ~one block per coarse bucket; iterative rounds
 # must coalesce between shuffles or block count multiplies round over
 # round (measured 20x on 3-round fixed-point PageRank, extras/pagerank.py)
 ITER_BLOCKS = 64
-_M = np.uint64(11400714819323198485)
-
-
-def _cb(ids: np.ndarray) -> np.ndarray:
-    return (
-        (ids.astype(np.uint64) * _M >> np.uint64(32))
-        % np.uint64(COARSE_NODE_GROUPS)
-    ).astype(np.int64)
 
 
 # ---------------------------------------------------------------- driver
@@ -115,12 +107,13 @@ def _iter_blocks(iter_blocks: int | None) -> int:
 def _round(labels: rd.Dataset, rel: rd.Dataset, nb: int) -> rd.Dataset:
     """One message round: new lab[x] = min(lab[x], min over lab[src] of
     rel rows (src -> x)). ``rel`` columns: (src, dst)."""
+    groups = coarse_groups()
 
     def tag_lab(batch: pa.Table) -> pa.Table:
         node = batch.column("node").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "_cb": pa.array(_cb(node)),
+                "_cb": pa.array(coarse_bucket(node, n_groups=groups)),
                 "node": batch.column("node"),
                 "dst": pa.array(np.full(len(node), -1, dtype=np.int64)),
                 "label": batch.column("label"),
@@ -131,7 +124,7 @@ def _round(labels: rd.Dataset, rel: rd.Dataset, nb: int) -> rd.Dataset:
         src = batch.column("src").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "_cb": pa.array(_cb(src)),
+                "_cb": pa.array(coarse_bucket(src, n_groups=groups)),
                 "node": batch.column("src").cast(pa.int64()),
                 "dst": batch.column("dst").cast(pa.int64()),
                 "label": pa.array(np.full(len(src), -1, dtype=np.int64)),
@@ -157,7 +150,7 @@ def _round(labels: rd.Dataset, rel: rd.Dataset, nb: int) -> rd.Dataset:
         out_lab = np.concatenate((lab_bcast[is_edge], node_lab))
         return pa.table(
             {
-                "_cb2": pa.array(_cb(out_node)),
+                "_cb2": pa.array(coarse_bucket(out_node, n_groups=groups)),
                 "node": pa.array(out_node, pa.int64()),
                 "label": pa.array(out_lab, pa.int64()),
             }
@@ -308,17 +301,18 @@ def keep_canonical(
         )
     names = list(arrow_schema.names)
     types = {f.name: f.type for f in arrow_schema}
+    groups = coarse_groups()
 
     def tag_drop(batch: pa.Table) -> pa.Table:
         d = batch.column("node").to_numpy(zero_copy_only=False)
         cols = {n: pa.nulls(len(d), types[n]) for n in names}
         cols[id_col] = pa.array(d).cast(types[id_col])
-        t = pa.table(cols).append_column("_cb", pa.array(_cb(d)))
+        t = pa.table(cols).append_column("_cb", pa.array(coarse_bucket(d, n_groups=groups)))
         return t.append_column("_dropmark", pa.array(np.ones(len(d), dtype=np.int8)))
 
     def tag_doc2(batch: pa.Table) -> pa.Table:
         d = batch.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        t = batch.append_column("_cb", pa.array(_cb(d)))
+        t = batch.append_column("_cb", pa.array(coarse_bucket(d, n_groups=groups)))
         return t.append_column(
             "_dropmark", pa.array(np.zeros(batch.num_rows, dtype=np.int8))
         )
@@ -399,10 +393,11 @@ def connected_components(
 
     # initial labels: every endpoint (plus optional isolated nodes),
     # deduplicated via one coarse-bucketed shuffle
+    groups = coarse_groups()
     def seed(batch: pa.Table) -> pa.Table:
         n = batch.column("src").to_numpy(zero_copy_only=False)
         return pa.table(
-            {"_cb2": pa.array(_cb(n)), "node": batch.column("src"),
+            {"_cb2": pa.array(coarse_bucket(n, n_groups=groups)), "node": batch.column("src"),
              "label": batch.column("src")}
         )
 
@@ -412,8 +407,8 @@ def connected_components(
 
         def seed_nodes(batch: pa.Table) -> pa.Table:
             n = batch.column(name).cast(pa.int64())
-            nn = n.to_numpy(zero_copy_only=False)
-            return pa.table({"_cb2": pa.array(_cb(nn)), "node": n, "label": n})
+            cb = coarse_bucket(n, n_groups=groups)
+            return pa.table({"_cb2": pa.array(cb), "node": n, "label": n})
 
         seeds = seeds.union(nodes.map_batches(seed_nodes, batch_format="pyarrow"))
 

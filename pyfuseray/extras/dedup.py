@@ -21,9 +21,10 @@ import re
 import zlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data as rd
+
+from pyfuseray.coarse import coarse_bucket, coarse_groups
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 _WS = re.compile(r"\s+")
@@ -42,28 +43,6 @@ def content_fingerprint(text: str) -> str:
 # exact dedup
 # ---------------------------------------------------------------------------
 
-# coarse shuffle-group count for dedup groupbys: the framework sees a
-# BOUNDED number of groups regardless of corpus cardinality (one group
-# per distinct fingerprint/pair would mean one Python call + one
-# DataFrame per distinct doc at web scale); the real per-key work runs
-# vectorized inside each coarse group
-COARSE_DEDUP_GROUPS = 1024
-
-
-def _coarse_groups(n_docs: int | None, docs_per_group: int) -> int:
-    """Group count for corpus-proportional shuffle payloads: a FIXED
-    coarse count bounds group COUNT but lets per-group payload grow
-    linearly with the corpus (a map_groups task materializes its whole
-    group — ~100 GB/group at web scale for full-text rows). With a
-    caller-supplied n_docs the count scales so each group holds
-    ~docs_per_group docs; without one, the measured-safe 1024 floor
-    applies. Results are group-count-invariant (a key's rows land
-    wholly in one group under any count)."""
-    if not n_docs:
-        return COARSE_DEDUP_GROUPS
-    return max(COARSE_DEDUP_GROUPS, n_docs // docs_per_group + 1)
-
-
 def exact_dedup(
     ds: rd.Dataset,
     *,
@@ -78,18 +57,16 @@ def exact_dedup(
     per-group overhead never scales with corpus cardinality. Survivor
     choice is deterministic. Pass ``n_docs`` (cheap for parquet-backed
     inputs via count()) so group payloads stay bounded at any corpus
-    size — the shuffle moves FULL text rows (see ``_coarse_groups``)."""
-    groups = _coarse_groups(n_docs, 8192)
+    size — the shuffle moves FULL text rows (see ``coarse_groups``)."""
+    groups = coarse_groups(n_docs, 8192)
 
     def add_fp(batch: pa.Table) -> pa.Table:
-        fps = [content_fingerprint(t) for t in batch.column(text_col).to_pylist()]
-        cb = np.fromiter(
-            (int(f[:8], 16) % groups for f in fps),
-            dtype=np.int64, count=len(fps),
+        fps = pa.array(
+            [content_fingerprint(t) for t in batch.column(text_col).to_pylist()],
+            type=pa.string(),
         )
-        return batch.append_column(
-            "_fp", pa.array(fps, type=pa.string())
-        ).append_column("_cb", pa.array(cb, pa.int64()))
+        cb = coarse_bucket(fps, n_groups=groups)
+        return batch.append_column("_fp", fps).append_column("_cb", pa.array(cb))
 
     def keep_min(group: pa.Table) -> pa.Table:
         # per-fingerprint min id: dictionary codes group identically to
@@ -248,23 +225,15 @@ def _make_emit_pairs(max_bucket: int, key_cols: list[str]):
     return emit_pairs
 
 
-def _coarse_pair_bucket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return ((a.astype(np.uint64) * np.uint64(1000003)) ^ b.astype(np.uint64)) % np.uint64(
-        COARSE_DEDUP_GROUPS
-    )
-
-
 def _dedup_pairs(pairs: rd.Dataset) -> rd.Dataset:
     """One row per (a, b); overflow is sticky (True wins). Shuffled on a
     coarse pair-hash bucket; the per-pair dedup inside each group is one
     vectorized sort + drop_duplicates."""
+    groups = coarse_groups()
 
     def add_cb(batch: pa.Table) -> pa.Table:
-        cb = _coarse_pair_bucket(
-            batch.column("a").to_numpy(zero_copy_only=False),
-            batch.column("b").to_numpy(zero_copy_only=False),
-        )
-        return batch.append_column("_cb", pa.array(cb.astype(np.int64), pa.int64()))
+        cb = coarse_bucket(batch.column("a"), batch.column("b"), n_groups=groups)
+        return batch.append_column("_cb", pa.array(cb))
 
     def dd(group: pa.Table) -> pa.Table:
         a = group.column("a").to_numpy(zero_copy_only=False)
@@ -305,8 +274,8 @@ def minhash_candidate_pairs(
     shingle->minhash->band rows, then ONE groupby on (band_id, band_hash);
     each bucket emits its pairs (vectorized, capped with overflow
     markers — see ``_make_emit_pairs``). ``n_docs`` bounds per-group
-    shuffle payload at any scale (``_coarse_groups``)."""
-    groups = _coarse_groups(n_docs, 65536)  # band rows: ~bands x 24 B/doc
+    shuffle payload at any scale (``coarse_groups``)."""
+    groups = coarse_groups(n_docs, 65536)  # band rows: ~bands x 24 B/doc
     bands_ds = ds.map_batches(
         MinHashStage,
         fn_constructor_kwargs={"num_perm": num_perm, "bands": bands, "shingle_k": shingle_k},
@@ -315,10 +284,10 @@ def minhash_candidate_pairs(
     )
 
     def add_cb(batch: pa.Table) -> pa.Table:
-        h = batch.column("band_hash").to_numpy(zero_copy_only=False).astype(np.uint64)
-        bd = batch.column("band_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-        cb = (h * np.uint64(31) + bd) % np.uint64(groups)
-        return batch.append_column("_cb", pa.array(cb.astype(np.int64), pa.int64()))
+        cb = coarse_bucket(
+            batch.column("band_hash"), batch.column("band_id"), n_groups=groups
+        )
+        return batch.append_column("_cb", pa.array(cb))
 
     pairs = (
         bands_ds.map_batches(add_cb, batch_format="pyarrow")
@@ -417,7 +386,6 @@ def join_pair_payloads(
     *,
     id_col: str = "doc_id",
     payload_col: str = "text",
-    coarse_groups: int = COARSE_DEDUP_GROUPS,
 ) -> rd.Dataset:
     """Distributed pair-payload join: (a, b) x (id, payload) ->
     (a, b, payload_a, payload_b). Nothing iterates the corpus on the
@@ -425,8 +393,8 @@ def join_pair_payloads(
 
     Plan (two keyed shuffles, both on candidate-bounded data and BOTH
     keyed on coarse hash buckets — group count bounded by
-    ``coarse_groups`` regardless of candidate cardinality, same policy
-    as every other dedup-family groupby):
+    ``coarse.coarse_groups`` regardless of candidate cardinality, same
+    policy as every other hash-keyed groupby):
       1. the corpus side is SEMI-JOIN filtered to candidate ids with one
          broadcast ``ray.put`` id array + vectorized ``np.isin`` inside
          ``map_batches`` — the full corpus streams through exactly once
@@ -447,11 +415,7 @@ def join_pair_payloads(
 
     sch = payloads.schema()
     ptype = dict(zip(sch.names, sch.types))[payload_col]
-
-    def coarse_jid(ids: np.ndarray) -> np.ndarray:
-        return (
-            ids.astype(np.uint64) * np.uint64(11400714819323198485) >> np.uint64(32)
-        ) % np.uint64(coarse_groups)
+    groups = coarse_groups()
 
     # candidate pairs are consumed twice (id collection + explode):
     # materialize the SMALL pair set once so the upstream LSH pipeline
@@ -477,7 +441,7 @@ def join_pair_payloads(
         sub = batch.filter(pa.array(np.isin(ids, wanted)))
         n = sub.num_rows
         jid = sub.column(id_col).cast(pa.int64())
-        cb = coarse_jid(jid.to_numpy(zero_copy_only=False))
+        cb = coarse_bucket(jid, n_groups=groups)
         # -1 sentinels, NOT nulls: nulls would make pandas widen the int
         # a/b columns to float64 inside the attach groups (silent
         # precision loss for ids above 2^53)
@@ -489,7 +453,7 @@ def join_pair_payloads(
                 "b": neg,
                 "side": pa.array(np.full(n, 2, dtype=np.int8)),
                 "payload": sub.column(payload_col),
-                "_cb": pa.array(cb.astype(np.int64), pa.int64()),
+                "_cb": pa.array(cb),
             }
         )
 
@@ -509,7 +473,7 @@ def join_pair_payloads(
                     )
                 ),
                 "payload": pa.nulls(2 * n, ptype),
-                "_cb": pa.array(coarse_jid(jid).astype(np.int64), pa.int64()),
+                "_cb": pa.array(coarse_bucket(jid, n_groups=groups)),
             }
         )
 
@@ -517,11 +481,8 @@ def join_pair_payloads(
     filtered = payloads.map_batches(semi_filter, batch_format="pyarrow")
 
     def add_pair_cb(batch: pa.Table) -> pa.Table:
-        cb = _coarse_pair_bucket(
-            batch.column("a").to_numpy(zero_copy_only=False),
-            batch.column("b").to_numpy(zero_copy_only=False),
-        ) % np.uint64(coarse_groups)
-        return batch.append_column("_pb", pa.array(cb.astype(np.int64), pa.int64()))
+        cb = coarse_bucket(batch.column("a"), batch.column("b"), n_groups=groups)
+        return batch.append_column("_pb", pa.array(cb))
 
     return (
         sides.union(filtered)
@@ -784,13 +745,11 @@ def simhash_candidates(
         )
 
     # per-group payload bound (key rows: ~n_combos x 24 B/doc)
-    groups = _coarse_groups(n_docs, 65536)
+    groups = coarse_groups(n_docs, 65536)
 
     def add_cb(batch: pa.Table) -> pa.Table:
-        k = batch.column("key").to_numpy(zero_copy_only=False).view(np.uint64)
-        c = batch.column("combo").to_numpy(zero_copy_only=False).astype(np.uint64)
-        cb = (k * np.uint64(31) + c) % np.uint64(groups)
-        return batch.append_column("_cb", pa.array(cb.astype(np.int64), pa.int64()))
+        cb = coarse_bucket(batch.column("key"), batch.column("combo"), n_groups=groups)
+        return batch.append_column("_cb", pa.array(cb))
 
     keyed = ds.select_columns(["doc_id", "text"]).map_batches(
         keys_stage, batch_format="pyarrow"
@@ -833,12 +792,6 @@ def simhash_candidates(
 # verified pair list is driver-sized.
 
 
-def _gram_doc_bucket(doc_ids: np.ndarray, groups: int) -> np.ndarray:
-    return (doc_ids.astype(np.uint64) * np.uint64(2654435761)) % np.uint64(
-        groups
-    )
-
-
 def jaccard_candidate_pairs(
     ds: rd.Dataset,
     *,
@@ -856,10 +809,10 @@ def jaccard_candidate_pairs(
     Partitioning assumption: none on the input; every stage keys on a
     coarse hash bucket it computes itself. ``n_docs`` bounds per-group
     shuffle payload at any scale (gram rows are corpus-token-sized;
-    ``_coarse_groups``)."""
+    ``coarse_groups``)."""
     if not (0.0 < threshold <= 1.0):
         raise ValueError("threshold must be in (0, 1]")
-    gram_groups = _coarse_groups(n_docs, 8192)
+    gram_groups = coarse_groups(n_docs, 8192)
 
     def gram_stage(batch: pa.Table) -> pa.Table:
         doc_ids = batch.column("doc_id").to_pylist()
@@ -889,9 +842,8 @@ def jaccard_candidate_pairs(
         )
 
     def add_gb(batch: pa.Table) -> pa.Table:
-        g = batch.column("gram").to_numpy(zero_copy_only=False).view(np.uint64)
-        gb = (g % np.uint64(gram_groups)).astype(np.int64)
-        return batch.append_column("_gb", pa.array(gb, pa.int64()))
+        gb = coarse_bucket(batch.column("gram"), n_groups=gram_groups)
+        return batch.append_column("_gb", pa.array(gb))
 
     def attach_df(group: pa.Table) -> pa.Table:
         g = group.column("gram").to_numpy(zero_copy_only=False)
@@ -911,9 +863,8 @@ def jaccard_candidate_pairs(
         )
 
     def add_db(batch: pa.Table) -> pa.Table:
-        d = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        db = _gram_doc_bucket(d, gram_groups).astype(np.int64)
-        return batch.append_column("_db", pa.array(db, pa.int64()))
+        db = coarse_bucket(batch.column("doc_id"), n_groups=gram_groups)
+        return batch.append_column("_db", pa.array(db))
 
     def prefix_select(group: pa.Table) -> pa.Table:
         d = group.column("doc_id").to_numpy(zero_copy_only=False)

@@ -13,16 +13,16 @@ e.g. /root/reference/app — no counterpart file).
 
 Scale shape (the part that matters at 100 TB):
 
-* Degree table: ONE coarse-bucket shuffle on ``_cb(node)`` (512 groups,
-  bounded group count — the dedup-family invariant), np.unique inside
+* Degree table: ONE coarse-bucket shuffle on ``coarse_bucket(node)``
+  (bounded group count — the coarse-shuffle invariant), np.unique inside
   groups. Output is node-count sized.
-* Degree histogram: a second tiny shuffle on ``_cb(degree)`` over the
-  node-count-sized degree table; output is histogram-sized.
+* Degree histogram: a second tiny shuffle on ``coarse_bucket(degree)``
+  over the node-count-sized degree table; output is histogram-sized.
 * Triangles (node-iterator++): every triangle x<y<z is counted exactly
   once as the wedge (y,z) enumerated at its SMALLEST node x, joined
   against the edge list. Two coarse-bucket shuffles: group edges by
-  ``_cb(min endpoint)`` to emit wedges, then co-locate wedges with
-  edges on a process-stable bucket of the (y,z) key and count matches
+  ``coarse_bucket(min endpoint)`` to emit wedges, then co-locate wedges
+  with edges on ``coarse_bucket(y, z)`` and count matches
   with sorted-code searchsorted inside each group. Nothing
   corpus-sized ever reaches the driver; per-group partial counts are
   summed by ``Dataset.sum``.
@@ -47,20 +47,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from .components import COARSE_NODE_GROUPS, _cb
-
-_M1 = np.uint64(11400714819323198485)
-_M2 = np.uint64(14029467366897019727)
-
-
-def _pair_bucket(y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Process-stable coarse bucket of an (y, z) int64 pair (never the
-    builtin hash — CLAUDE.md invariant). uint64 wraparound is
-    deterministic across processes."""
-    h = (y.astype(np.uint64) * _M1) ^ (z.astype(np.uint64) * _M2)
-    return ((h * _M1 >> np.uint64(32)) % np.uint64(COARSE_NODE_GROUPS)).astype(
-        np.int64
-    )
+from pyfuseray.coarse import coarse_bucket, coarse_groups
 
 
 def _codes(y: np.ndarray, z: np.ndarray, uy: np.ndarray, uz: np.ndarray) -> np.ndarray:
@@ -75,12 +62,14 @@ def degree_table(
     pairs: rd.Dataset, a_col: str = "a", b_col: str = "b"
 ) -> rd.Dataset:
     """(node, degree) over an undirected distinct edge list (a < b)."""
+    groups = coarse_groups()
 
     def tag(batch: pa.Table) -> pa.Table:
         a = batch.column(a_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         b = batch.column(b_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         node = np.concatenate((a, b))
-        return pa.table({"_cb": pa.array(_cb(node)), "node": pa.array(node)})
+        cb = coarse_bucket(node, n_groups=groups)
+        return pa.table({"_cb": pa.array(cb), "node": pa.array(node)})
 
     def count(group: pa.Table) -> pa.Table:
         node = group.column("node").to_numpy(zero_copy_only=False)
@@ -101,10 +90,12 @@ def degree_histogram(
 ) -> rd.Dataset:
     """(degree, n_nodes) histogram, sorted by degree (histogram-sized
     output — the sort moves almost nothing)."""
+    groups = coarse_groups()
 
     def tag(batch: pa.Table) -> pa.Table:
         d = batch.column("degree").to_numpy(zero_copy_only=False)
-        return pa.table({"_hb": pa.array(_cb(d)), "degree": batch.column("degree")})
+        cb = coarse_bucket(d, n_groups=groups)
+        return pa.table({"_hb": pa.array(cb), "degree": batch.column("degree")})
 
     def count(group: pa.Table) -> pa.Table:
         d = group.column("degree").to_numpy(zero_copy_only=False)
@@ -127,11 +118,13 @@ def degree_histogram(
 
 def value_counts(ds: rd.Dataset, col: str, out_value: str, out_count: str) -> rd.Dataset:
     """(value, count) over one int64 column — ONE coarse-bucket shuffle
-    (same-value rows co-locate by ``_cb(value)``), np.unique per group."""
+    (same-value rows co-locate by ``coarse_bucket(value)``), np.unique
+    per group."""
+    groups = coarse_groups()
 
     def tag(batch: pa.Table) -> pa.Table:
         v = batch.column(col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table({"_cb": pa.array(_cb(v)), "v": pa.array(v)})
+        return pa.table({"_cb": pa.array(coarse_bucket(v, n_groups=groups)), "v": pa.array(v)})
 
     def count(group: pa.Table) -> pa.Table:
         v = group.column("v").to_numpy(zero_copy_only=False)
@@ -173,9 +166,9 @@ def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:
     return got
 
 
-def _wedges_for_group(group: pa.Table) -> pa.Table:
-    """Edges of one _cb(a)-bucket -> wedge rows (y, z), y < z, one per
-    unordered higher-neighbor pair of each node a."""
+def _wedges_for_group(group: pa.Table, n_groups: int) -> pa.Table:
+    """Edges of one ``coarse_bucket(a)`` group -> wedge rows (y, z),
+    y < z, one per unordered higher-neighbor pair of each node a."""
     a = group.column("a").to_numpy(zero_copy_only=False)
     b = group.column("b").to_numpy(zero_copy_only=False)
     order = np.lexsort((b, a))
@@ -200,7 +193,7 @@ def _wedges_for_group(group: pa.Table) -> pa.Table:
     z = np.concatenate(zs) if zs else np.array([], np.int64)
     return pa.table(
         {
-            "_wb": pa.array(_pair_bucket(y, z)),
+            "_wb": pa.array(coarse_bucket(y, z, n_groups=n_groups)),
             "y": pa.array(y, pa.int64()),
             "z": pa.array(z, pa.int64()),
             "is_edge": pa.array(np.zeros(len(y), np.int8)),
@@ -218,12 +211,13 @@ def triangle_count(
     # an expensive upstream (e.g. simhash candidate generation) does not
     # re-execute per consumer; edges are pair-sized, never the corpus
     pairs = pairs.materialize()
+    groups = coarse_groups()
 
     def tag_edges_by_a(batch: pa.Table) -> pa.Table:
         a = batch.column(a_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "_cb": pa.array(_cb(a)),
+                "_cb": pa.array(coarse_bucket(a, n_groups=groups)),
                 "a": pa.array(a),
                 "b": batch.column(b_col).cast(pa.int64()),
             }
@@ -232,7 +226,9 @@ def triangle_count(
     wedges = (
         pairs.map_batches(tag_edges_by_a, batch_format="pyarrow")
         .groupby("_cb")
-        .map_groups(_wedges_for_group, batch_format="pyarrow")
+        .map_groups(
+            _wedges_for_group, batch_format="pyarrow", fn_kwargs={"n_groups": groups}
+        )
     )
 
     def tag_edges_by_pair(batch: pa.Table) -> pa.Table:
@@ -240,7 +236,7 @@ def triangle_count(
         z = batch.column(b_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "_wb": pa.array(_pair_bucket(y, z)),
+                "_wb": pa.array(coarse_bucket(y, z, n_groups=groups)),
                 "y": pa.array(y),
                 "z": pa.array(z),
                 "is_edge": pa.array(np.ones(len(y), np.int8)),

@@ -15,13 +15,11 @@ ascending — a deterministic, SQL-mirrorable ranking
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-COARSE_GROUPS = 512
+from pyfuseray.coarse import coarse_bucket, coarse_groups
 
 
 def _select_topk(
@@ -70,23 +68,12 @@ def topk_per_group(
 ) -> rd.Dataset:
     """k rows per group by (order_col desc|asc, tie_col asc), with a
     0-based ``rank`` column. Output columns: input columns + rank."""
+    groups = coarse_groups()
 
     def partial(batch: pa.Table) -> pa.Table:
         out = _select_topk(batch, group_col, order_col, tie_col, k, descending)
-        # hash each UNIQUE key once via dictionary codes (no per-row
-        # Python-object round trip — round-4 verdict 'what's wrong' #5)
-        dic = out.column(group_col).dictionary_encode()
-        if isinstance(dic, pa.ChunkedArray):
-            dic = dic.combine_chunks()
-        idx = dic.indices.to_numpy(zero_copy_only=False)
-        uniq = dic.dictionary.to_pylist()
-        per_uniq = np.fromiter(
-            (zlib.crc32(str(v).encode()) % COARSE_GROUPS for v in uniq),
-            dtype=np.int64,
-            count=len(uniq),
-        )
-        cb = per_uniq[idx] if len(uniq) else np.zeros(0, dtype=np.int64)
-        return out.append_column("_cb", pa.array(cb, pa.int64()))
+        cb = coarse_bucket(out.column(group_col), n_groups=groups)
+        return out.append_column("_cb", pa.array(cb))
 
     def final(group: pa.Table) -> pa.Table:
         out = _select_topk(

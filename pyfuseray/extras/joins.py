@@ -27,37 +27,15 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-COARSE_JOIN_GROUPS = 512
+from pyfuseray.coarse import coarse_bucket, coarse_groups
+
 DEFAULT_SALTS = 8
-
-
-def _vec_key_hash(col: pa.ChunkedArray, n_groups: int) -> np.ndarray:
-    """Deterministic vectorized bucket hash for int or string keys."""
-    typ = col.type
-    if pa.types.is_integer(typ):
-        v = col.to_numpy(zero_copy_only=False).astype(np.uint64)
-        # Fibonacci-style mix so sequential keys spread across buckets
-        return ((v * np.uint64(11400714819323198485)) >> np.uint64(32)) % np.uint64(
-            n_groups
-        )
-    if pa.types.is_string(typ) or pa.types.is_large_string(typ):
-        from pyfuseray.docids import _utf8_fixed_width
-
-        b = _utf8_fixed_width(col)
-        w = b.dtype.itemsize
-        m = np.frombuffer(b.tobytes(), dtype=np.uint8).reshape(-1, w).astype(np.uint64)
-        weights = np.power(
-            np.uint64(1099511628211), np.arange(w, dtype=np.uint64), dtype=np.uint64
-        )
-        return (m @ weights) % np.uint64(n_groups)
-    raise TypeError(f"unsupported join key type: {typ}")
 
 
 def detect_hot_keys(
     ds: rd.Dataset,
     key: str,
     *,
-    coarse_groups: int = COARSE_JOIN_GROUPS,
     hot_factor: float = 2.0,
     per_batch_frac: float = 0.01,
 ) -> dict:
@@ -67,7 +45,7 @@ def detect_hot_keys(
     Per batch, only keys holding > max(32, per_batch_frac x batch) rows
     are emitted (bounded candidate set — a key must be locally frequent
     somewhere to be globally dominant); the driver sums candidates and
-    keeps keys with count > hot_factor x (total_rows / coarse_groups).
+    keeps keys with count > hot_factor x (total_rows / coarse groups).
     Heuristic by design: a key spread perfectly thin below the per-batch
     bar is missed, but such a key cannot dominate a group by more than
     ~per_batch_frac x blocks either.
@@ -105,7 +83,7 @@ def detect_hot_keys(
     if total == 0:
         return {}
     counts = agg.dropna(subset=["k"]).groupby("k")["c"].sum()
-    bar = hot_factor * total / coarse_groups
+    bar = hot_factor * total / coarse_groups()
     return {k: int(c) for k, c in counts.items() if c > bar}
 
 
@@ -116,7 +94,6 @@ def hash_join(
     left_on: str,
     right_on: str | None = None,
     how: str = "inner",
-    coarse_groups: int = COARSE_JOIN_GROUPS,
     salts: int = DEFAULT_SALTS,
     skew_keys: dict | list | None = None,
     detect_skew: bool = True,
@@ -148,24 +125,25 @@ def hash_join(
     r_cols = [f.name for f in _schema_fields(right)]
 
     if skew_keys is None and detect_skew:
-        lhot = detect_hot_keys(left, left_on, coarse_groups=coarse_groups)
-        rhot = detect_hot_keys(right, right_on, coarse_groups=coarse_groups)
+        lhot = detect_hot_keys(left, left_on)
+        rhot = detect_hot_keys(right, right_on)
         hot = {k: (lhot.get(k, 0), rhot.get(k, 0)) for k in set(lhot) | set(rhot)}
     elif skew_keys:
         hot = {k: (1, 0) for k in skew_keys}  # spread left, replicate right
     else:
         hot = {}
+    groups = coarse_groups()
     # per hot key: (base group id, spread side 0=left / 1=right)
     hot_plan: dict = {}
     for i, k in enumerate(sorted(hot, key=str)):
         lc, rc = hot[k]
         spread_side = 0 if (how == "left" or lc >= rc) else 1
-        hot_plan[k] = (coarse_groups + i * salts, spread_side)
+        hot_plan[k] = (groups + i * salts, spread_side)
 
     def tag(side: int, key_col: str):
         def fn(batch: pa.Table) -> pa.Table:
             col = batch.column(key_col)
-            cb = _vec_key_hash(col, coarse_groups).astype(np.int64)
+            cb = coarse_bucket(col, n_groups=groups)
             out = batch.append_column(
                 "_side", pa.array(np.full(batch.num_rows, side, dtype=np.int8))
             )
@@ -305,7 +283,6 @@ def semi_join(
     left_on: str,
     right_on: str | None = None,
     anti: bool = False,
-    coarse_groups: int = COARSE_JOIN_GROUPS,
     broadcast_limit: int = SEMI_BROADCAST_LIMIT,
 ) -> rd.Dataset:
     """EXISTS / NOT EXISTS: left rows whose key does (semi) or does not
@@ -366,9 +343,10 @@ def semi_join(
     # right keys are cast to the LEFT key's arrow type so the union
     # schema is uniform (e.g. int32 right keys vs int64 left keys)
     key_type = dict((f.name, f.type) for f in l_fields)[left_on]
+    groups = coarse_groups()
 
     def tag_left(batch: pa.Table) -> pa.Table:
-        cb = _vec_key_hash(batch.column(left_on), coarse_groups).astype(np.int64)
+        cb = coarse_bucket(batch.column(left_on), n_groups=groups)
         return batch.append_column(
             "_side", pa.array(np.zeros(batch.num_rows, dtype=np.int8))
         ).append_column("_cb", pa.array(cb, pa.int64()))
@@ -380,7 +358,7 @@ def semi_join(
             if f.name != left_on:
                 t = t.append_column(f.name, pa.nulls(t.num_rows, f.type))
         t = t.select(l_cols)
-        cb = _vec_key_hash(t.column(left_on), coarse_groups).astype(np.int64)
+        cb = coarse_bucket(t.column(left_on), n_groups=groups)
         return t.append_column(
             "_side", pa.array(np.ones(t.num_rows, dtype=np.int8))
         ).append_column("_cb", pa.array(cb, pa.int64()))

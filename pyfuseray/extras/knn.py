@@ -22,7 +22,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from pyfuseray.extras.vecs import as_matrix, series_matrix
+from pyfuseray.coarse import coarse_bucket, coarse_groups
+from pyfuseray.extras.vecs import as_matrix
 
 
 def _as_matrix(batch_col) -> np.ndarray:
@@ -295,14 +296,13 @@ def embedding_near_dups_lsh(
     Output: (a, b, score, overflow) with a < b, score = exact cosine
     rounded to 6dp, overflow = pair came from a truncated bucket.
     """
-    import pandas as pd
-
     rng = np.random.default_rng(seed)
     first = embeddings.take(1)
     dim = len(first[0][vec_col]) if first else 0
     planes = rng.standard_normal((dim, planes_per_band * n_bands)).astype(np.float32)
     planes_ref = ray.put(planes)
     weights = (1 << np.arange(planes_per_band)).astype(np.int64)
+    groups = coarse_groups()
 
     def signatures(batch: pa.Table) -> pa.Table:
         pl = ray.get(planes_ref)
@@ -315,70 +315,60 @@ def embedding_near_dups_lsh(
         bands = np.repeat(np.arange(n_bands, dtype=np.int32)[None, :], n, axis=0)
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         rep = pa.array(np.repeat(np.arange(n, dtype=np.int64), n_bands))
-        from pyfuseray.extras.dedup import COARSE_DEDUP_GROUPS
-
         flat_bands = bands.ravel()
         flat_keys = keys.ravel()
-        # coarse shuffle bucket: bounded group count regardless of how
-        # many (band, key) LSH buckets exist (shared dedup-family policy)
-        cb = (
-            flat_keys.astype(np.uint64) * np.uint64(31)
-            + flat_bands.astype(np.uint64)
-        ) % np.uint64(COARSE_DEDUP_GROUPS)
         return pa.table(
             {
                 "band": pa.array(flat_bands, pa.int32()),
                 "key": pa.array(flat_keys, pa.int64()),
-                "_cb": pa.array(cb.astype(np.int64), pa.int64()),
+                # bounded group count however many (band, key) buckets exist
+                "_cb": pa.array(coarse_bucket(flat_keys, flat_bands, n_groups=groups)),
                 id_col: pa.array(np.repeat(ids, n_bands), pa.int64()),
                 vec_col: pa.compute.take(batch.column(vec_col), rep),
             }
         )
 
-    def bucket_pairs(coarse: pd.DataFrame) -> pd.DataFrame:
+    def bucket_pairs(coarse: pa.Table) -> pa.Table:
         """One COARSE group = many (band, key) buckets; per-bucket exact
         cosine verify, capped with overflow markers."""
-        empty = pd.DataFrame(
-            {"a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64"),
-             "score": pd.Series(dtype="float64"),
-             "overflow": pd.Series(dtype="bool")}
-        )
+        band = coarse.column("band").to_numpy(zero_copy_only=False)
+        key = coarse.column("key").to_numpy(zero_copy_only=False)
+        ids = coarse.column(id_col).to_numpy(zero_copy_only=False)
+        # one lexsort segments the group into buckets, ids ascending
+        order = np.lexsort((ids, key, band))
+        change = np.ones(order.size, dtype=bool)
+        change[1:] = (np.diff(band[order]) != 0) | (np.diff(key[order]) != 0)
+        starts = np.flatnonzero(change)
+        vecs_all = as_matrix(coarse.column(vec_col), dtype=np.float64)
         parts = []
-        for _, group in coarse.groupby(["band", "key"], sort=False):
-            ids = group[id_col].to_numpy()
-            order = np.argsort(ids)
-            ids = ids[order]
-            overflow = ids.size > max_bucket
-            if overflow:
-                ids = ids[:max_bucket]
-                order = order[:max_bucket]
-            if ids.size < 2:
+        for rows in np.split(order, starts[1:]):
+            overflow = rows.size > max_bucket
+            rows = rows[:max_bucket]
+            if rows.size < 2:
                 continue
-            vecs = _norm_rows(
-                series_matrix(group[vec_col].iloc[order], dtype=np.float64)
-            )
+            vecs = _norm_rows(vecs_all[rows])
             sims = vecs @ vecs.T
             ii, jj = np.nonzero(np.triu(sims >= threshold, k=1))
-            if ii.size == 0:
-                continue
             parts.append(
-                pd.DataFrame(
-                    {
-                        "a": ids[ii],
-                        "b": ids[jj],
-                        "score": np.round(sims[ii, jj], 6),
-                        "overflow": np.full(ii.size, overflow),
-                    }
-                )
+                (ids[rows[ii]], ids[rows[jj]], np.round(sims[ii, jj], 6),
+                 np.full(ii.size, overflow))
             )
-        return pd.concat(parts, ignore_index=True) if parts else empty
+        cols = [np.concatenate(c) for c in zip(*parts)] if parts else [[]] * 4
+        return pa.table(
+            {
+                "a": pa.array(cols[0], pa.int64()),
+                "b": pa.array(cols[1], pa.int64()),
+                "score": pa.array(cols[2], pa.float64()),
+                "overflow": pa.array(cols[3], pa.bool_()),
+            }
+        )
 
     from pyfuseray.extras.dedup import _dedup_pairs
 
     sig = embeddings.select_columns([id_col, vec_col]).map_batches(
         signatures, batch_format="pyarrow"
     )
-    pairs = sig.groupby("_cb").map_groups(bucket_pairs, batch_format="pandas")
+    pairs = sig.groupby("_cb").map_groups(bucket_pairs, batch_format="pyarrow")
     # sticky-overflow dedup (overflow=True wins): a pair found by both a
     # truncated and an untruncated bucket must keep its marker
     return _dedup_pairs(pairs)

@@ -31,7 +31,6 @@ score never could.
 from __future__ import annotations
 
 import re
-import zlib
 
 import numpy as np
 import pandas as pd
@@ -39,13 +38,15 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from pyfuseray.coarse import coarse_bucket, coarse_groups
+
 _TOKEN = re.compile(r"[a-z0-9]+")
-_COARSE = 1024
 
 
 def unigram_counts(ds: rd.Dataset, *, text_col: str = "text") -> rd.Dataset:
     """Global (term, cf) collection frequencies over the raw token
     stream — one coarse-bucket shuffle, vocabulary-sized output."""
+    groups = coarse_groups()
 
     def partial(batch: pa.Table) -> pa.Table:
         toks: list[str] = []
@@ -58,15 +59,12 @@ def unigram_counts(ds: rd.Dataset, *, text_col: str = "text") -> rd.Dataset:
                  "_cb": pa.array([], pa.int64())}
             )
         terms, counts = np.unique(np.asarray(toks, dtype=object), return_counts=True)
-        cb = np.fromiter(
-            (zlib.crc32(t.encode()) % _COARSE for t in terms),
-            dtype=np.int64, count=terms.size,
-        )
+        terms = pa.array(terms.tolist(), pa.string())
         return pa.table(
             {
-                "term": pa.array(terms.tolist(), pa.string()),
+                "term": terms,
                 "cf": pa.array(counts.astype(np.int64)),
-                "_cb": pa.array(cb),
+                "_cb": pa.array(coarse_bucket(terms, n_groups=groups)),
             }
         )
 

@@ -27,13 +27,11 @@ is on coarse buckets of the (bounded) source key.
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from pyfuseray.extras.grouptop import COARSE_GROUPS
+from pyfuseray.coarse import coarse_bucket, coarse_groups
 from pyfuseray.extras.md5vec import md5_hi60_ints
 
 
@@ -103,6 +101,7 @@ def mix_to_target(
     )
     counts = dict(zip(counts_df[group_col], counts_df["_n"]))
     quotas = largest_remainder_quotas(weights, counts, budget)
+    groups = coarse_groups()
 
     def add_key(batch: pa.Table) -> pa.Table:
         mk = md5_hi60_ints(batch.column(id_col))
@@ -110,14 +109,8 @@ def mix_to_target(
 
     def partial(batch: pa.Table) -> pa.Table:
         out = _select_quota(batch, group_col, id_col, quotas)
-        keys = out.column(group_col).to_pylist()
-        memo: dict = {}
-        cb = np.fromiter(
-            (memo.setdefault(v, zlib.crc32(str(v).encode()) % COARSE_GROUPS)
-             for v in keys),
-            dtype=np.int64, count=out.num_rows,
-        )
-        return out.append_column("_cb", pa.array(cb, pa.int64()))
+        cb = coarse_bucket(out.column(group_col), n_groups=groups)
+        return out.append_column("_cb", pa.array(cb))
 
     def final(group: pa.Table) -> pa.Table:
         out = _select_quota(group, group_col, id_col, quotas, with_rank=True)

@@ -39,7 +39,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from .components import _cb
+from pyfuseray.coarse import coarse_bucket, coarse_groups
+
 from .graphstats import degree_table
 
 SCALE = 10**12
@@ -63,7 +64,7 @@ def pagerank_int(
     node (isolated nodes included — they keep the teleport rank).
 
     ``num_blocks`` bounds the block count of every intermediate: each
-    ``map_groups`` emits one block PER COARSE BUCKET (~512), and feeding
+    ``map_groups`` emits one block PER COARSE BUCKET (512), and feeding
     512 blocks into the next groupby's range shuffle makes block count
     multiply across iterations (measured 6.7 s for one round but 166 s
     for three before the coalesce). A narrow ``repartition`` between
@@ -79,6 +80,7 @@ def pagerank_int(
         )
     tel = ((scale * (damp_den - damp_num)) // damp_den) // n
     pr0 = scale // n
+    groups = coarse_groups()
 
     # static (node, deg) with deg=0 for isolated nodes: left-attach the
     # degree table (node-sized) to the node list via one bucket groupby
@@ -88,7 +90,7 @@ def pagerank_int(
         v = batch.column(node_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "_cb": pa.array(_cb(v)),
+                "_cb": pa.array(coarse_bucket(v, n_groups=groups)),
                 "node": pa.array(v),
                 "deg": pa.array(np.full(len(v), -1, np.int64)),
             }
@@ -98,7 +100,7 @@ def pagerank_int(
         v = batch.column("node").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "_cb": pa.array(_cb(v)),
+                "_cb": pa.array(coarse_bucket(v, n_groups=groups)),
                 "node": batch.column("node"),
                 "deg": batch.column("degree"),
             }
@@ -141,7 +143,7 @@ def pagerank_int(
         dst = np.concatenate((b, a))
         return pa.table(
             {
-                "_cb": pa.array(_cb(src)),
+                "_cb": pa.array(coarse_bucket(src, n_groups=groups)),
                 "src": pa.array(src),
                 "dst": pa.array(dst),
                 "pr": pa.array(np.full(len(src), -1, np.int64)),
@@ -157,7 +159,7 @@ def pagerank_int(
             v = batch.column("node").to_numpy(zero_copy_only=False)
             return pa.table(
                 {
-                    "_cb": pa.array(_cb(v)),
+                    "_cb": pa.array(coarse_bucket(v, n_groups=groups)),
                     "src": batch.column("node"),
                     "dst": pa.array(np.full(len(v), -1, np.int64)),
                     "pr": batch.column("pr"),
@@ -193,7 +195,7 @@ def pagerank_int(
             contrib = c_of_src[pos]
             return pa.table(
                 {
-                    "_cb2": pa.array(_cb(e_dst)),
+                    "_cb2": pa.array(coarse_bucket(e_dst, n_groups=groups)),
                     "dst": pa.array(e_dst, pa.int64()),
                     "c": pa.array(contrib.astype(np.int64)),
                     "deg": pa.array(np.zeros(len(e_dst), np.int64)),
@@ -212,7 +214,7 @@ def pagerank_int(
             v = batch.column("node").to_numpy(zero_copy_only=False)
             return pa.table(
                 {
-                    "_cb2": pa.array(_cb(v)),
+                    "_cb2": pa.array(coarse_bucket(v, n_groups=groups)),
                     "dst": batch.column("node"),
                     "c": pa.array(np.full(len(v), -1, np.int64)),
                     "deg": batch.column("deg"),

@@ -33,8 +33,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-COARSE_CELL_GROUPS = 1024
-_M = np.uint64(11400714819323198485)
+from pyfuseray.coarse import coarse_bucket, coarse_groups, key_hash
 
 
 def neighbor_count_join(
@@ -49,8 +48,8 @@ def neighbor_count_join(
     """Returns (id_col, n_neighbors): for each row, the number of OTHER
     rows with the same ``key_col`` whose ``ts_col`` lies within
     ``±window_us`` (inclusive). ``ts_col`` must cast to int64
-    microseconds; ``key_col`` is hashed (any arrow type with a
-    dictionary encoding).
+    microseconds; ``key_col`` is hashed with ``coarse.key_hash`` (int,
+    string or binary keys; other types hash their text).
     """
     if block_us is None:
         block_us = 2 * window_us
@@ -58,27 +57,14 @@ def neighbor_count_join(
         raise ValueError("block_us must be >= window_us (1-block halo)")
     w = np.int64(window_us)
     bsz = np.int64(block_us)
+    groups = coarse_groups()
 
     def explode(batch: pa.Table) -> pa.Table:
-        import hashlib
-
         t = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         rid = batch.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        kcodes = batch.column(key_col).combine_chunks().dictionary_encode()
-        # hash the key VALUES with a process-stable 64-bit digest
-        # (builtin hash() is salted per worker; dict codes differ per
-        # batch) — per-DISTINCT-value cost only
-        kh = np.array(
-            [
-                int.from_bytes(
-                    hashlib.blake2b(
-                        str(v).encode(), digest_size=8
-                    ).digest(), "little",
-                )
-                for v in kcodes.dictionary.to_pylist()
-            ],
-            dtype=np.uint64,
-        )[kcodes.indices.to_numpy(zero_copy_only=False)]
+        # the key VALUES' process-stable 64-bit hash (builtin hash() is
+        # salted per worker; dict codes differ per batch)
+        kh = key_hash(batch.column(key_col))
         blk = t // bsz
         # core row + ghosts into the two adjacent blocks
         n = len(t)
@@ -89,12 +75,9 @@ def neighbor_count_join(
         core = np.concatenate(
             (np.ones(n, dtype=np.int8), np.zeros(2 * n, dtype=np.int8))
         )
-        cb = (
-            ((rep_kh * _M) ^ (rep_blk.astype(np.uint64) * _M)) >> np.uint64(32)
-        ) % np.uint64(COARSE_CELL_GROUPS)
         return pa.table(
             {
-                "_cb": pa.array(cb.astype(np.int64)),
+                "_cb": pa.array(coarse_bucket(rep_kh, rep_blk, n_groups=groups)),
                 "kh": pa.array(rep_kh.astype(np.int64)),
                 "blk": pa.array(rep_blk),
                 "t": pa.array(rep_t),

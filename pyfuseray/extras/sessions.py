@@ -4,8 +4,8 @@ The "streaming window" custom operator the Dataset API lacks natively:
 a session = a maximal run of one user's events where consecutive gaps
 are <= ``gap``. Semantics allow the groupby + map_groups composition
 (sessions never span users), so the plan is ONE shuffle keyed on a
-COARSE user-hash bucket (bounded group count — same policy as the
-dedup family) with the per-user segmentation fully vectorized inside
+COARSE user-hash bucket (``coarse.coarse_bucket``, bounded group count)
+with the per-user segmentation fully vectorized inside
 each group: one lexsort by (user, ts), one diff for the gap breaks,
 reduceat for the per-session aggregates.
 
@@ -19,11 +19,10 @@ needed at these scales).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-COARSE_USER_GROUPS = 512
+from pyfuseray.coarse import coarse_bucket, coarse_groups
 
 
 def sessionize(
@@ -41,24 +40,22 @@ def sessionize(
     first event's timestamp in microseconds; sum_value is summed in
     time order and rounded to 4dp (DuckDB-oracle-comparable).
     """
+    groups = coarse_groups()
 
     def add_keys(batch: pa.Table) -> pa.Table:
-        ts = batch.column(ts_col).cast(pa.int64())
-        uid = batch.column(user_col).to_numpy(zero_copy_only=False)
-        cb = (uid.astype(np.uint64) % np.uint64(COARSE_USER_GROUPS)).astype(np.int64)
         return pa.table(
             {
                 "user_id": batch.column(user_col),
-                "t": ts,
+                "t": batch.column(ts_col).cast(pa.int64()),
                 "value": batch.column(value_col),
-                "_cb": pa.array(cb, pa.int64()),
+                "_cb": pa.array(coarse_bucket(batch.column(user_col), n_groups=groups)),
             }
         )
 
-    def sessions(group: pd.DataFrame) -> pd.DataFrame:
-        u = group["user_id"].to_numpy()
-        t = group["t"].to_numpy()
-        v = group["value"].to_numpy()
+    def sessions(group: pa.Table) -> pa.Table:
+        u = group.column("user_id").to_numpy(zero_copy_only=False)
+        t = group.column("t").to_numpy(zero_copy_only=False)
+        v = group.column("value").to_numpy(zero_copy_only=False)
         order = np.lexsort((t, u))
         u, t, v = u[order], t[order], v[order]
         new_user = np.concatenate(([True], u[1:] != u[:-1]))
@@ -72,19 +69,18 @@ def sessionize(
         user_ends = np.concatenate((user_starts[1:], [u.size]))
         base = np.repeat(cs[user_starts] - 1, user_ends - user_starts)
         sid = (cs - base)[starts]
-        return pd.DataFrame(
+        return pa.table(
             {
-                "user_id": u[starts],
-                "session_id": sid.astype(np.int64),
-                "session_start": t[starts],
-                "n_events": (ends - starts).astype(np.int64),
-                "sum_value": np.round(np.add.reduceat(v, starts), 4),
+                "user_id": group.column("user_id").take(pa.array(order[starts])),
+                "session_id": pa.array(sid.astype(np.int64)),
+                "session_start": pa.array(t[starts]),
+                "n_events": pa.array((ends - starts).astype(np.int64)),
+                "sum_value": pa.array(np.round(np.add.reduceat(v, starts), 4)),
             }
         )
 
-    out = (
+    return (
         events.map_batches(add_keys, batch_format="pyarrow")
         .groupby("_cb")
-        .map_groups(sessions, batch_format="pandas")
+        .map_groups(sessions, batch_format="pyarrow")
     )
-    return out.map_batches(lambda t: t, batch_format="pyarrow")

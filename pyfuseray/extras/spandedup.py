@@ -12,7 +12,7 @@ Scale shape (module invariant, same as :mod:`pyfuseray.extras.dedup`):
 chunking and re-assembly are fully vectorized batch-local Arrow ops
 (``split_pattern`` offsets math + ``binary_join`` — no Python loop over
 rows); duplicate discovery is ONE ``groupby`` shuffle keyed on a COARSE
-crc32 bucket of the chunk over per-batch (chunk, distinct-doc-count)
+bucket of the chunk (``coarse.coarse_bucket``) over per-batch (chunk, distinct-doc-count)
 partials, so the framework group count is bounded regardless of corpus
 cardinality. Partials are exact because ``map_batches`` never splits a
 document across batches. Two routes, pinned identical by
@@ -28,17 +28,13 @@ document across batches. Two routes, pinned identical by
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-# coarse shuffle-group count: bounded framework group count no matter
-# how many distinct chunks the corpus has (see extras/dedup.py)
-COARSE_SPAN_GROUPS = 1024
+from pyfuseray.coarse import coarse_bucket, coarse_groups
 
 # above this many duplicated chunks the broadcast array stops being a
 # sane object-store resident and dedup_spans routes to the distributed
@@ -93,16 +89,6 @@ def _chunk_columns(
     return doc_ids[rep_doc], chunk_no, chunks
 
 
-def _coarse_bucket(chunks: pa.Array) -> np.ndarray:
-    """crc32(chunk) % COARSE_SPAN_GROUPS — process-stable, computed once
-    per chunk row (chunks per batch are bounded by words/k)."""
-    return np.fromiter(
-        (zlib.crc32(c) % COARSE_SPAN_GROUPS for c in chunks.cast(pa.binary()).to_pylist()),
-        dtype=np.int64,
-        count=len(chunks),
-    )
-
-
 def duplicated_chunks(
     ds: rd.Dataset,
     *,
@@ -116,6 +102,7 @@ def duplicated_chunks(
     (chunk, partial distinct-doc count) row per distinct chunk — exact
     because a document never spans batches — then ONE coarse-bucket
     groupby sums the partials."""
+    groups = coarse_groups()
 
     def partials(batch: pa.Table) -> pa.Table:
         doc, _, chunks = _chunk_columns(batch, text_col, id_col, k)
@@ -132,7 +119,7 @@ def duplicated_chunks(
         out_chunks = gb.column("chunk").combine_chunks()
         return pa.table(
             {
-                "_cb": pa.array(_coarse_bucket(out_chunks), pa.int64()),
+                "_cb": pa.array(coarse_bucket(out_chunks, n_groups=groups)),
                 "chunk": out_chunks,
                 "nd": gb.column("doc_count").cast(pa.int64()),
             }
@@ -247,11 +234,13 @@ def dedup_spans(
     # -- distributed route: chunk rows ride the coarse-chunk shuffle so
     # dup flags attach where the counts live; a second coarse DOC-bucket
     # shuffle re-assembles documents
+    groups = coarse_groups()
+
     def chunk_rows(batch: pa.Table) -> pa.Table:
         doc, chunk_no, chunks = _chunk_columns(batch, text_col, id_col, k)
         return pa.table(
             {
-                "_cb": pa.array(_coarse_bucket(chunks), pa.int64()),
+                "_cb": pa.array(coarse_bucket(chunks, n_groups=groups)),
                 "doc_id": pa.array(doc, pa.int64()),
                 "chunk_no": pa.array(chunk_no, pa.int64()),
                 "chunk": chunks,
@@ -273,10 +262,10 @@ def dedup_spans(
         ).to_numpy(zero_copy_only=False)
         dup = nd[pos] >= min_docs
         # coarse DOC bucket for the re-assembly shuffle
-        doc = group.column("doc_id").to_numpy(zero_copy_only=False)
+        db = coarse_bucket(group.column("doc_id"), n_groups=groups)
         return pa.table(
             {
-                "_db": pa.array(doc % COARSE_SPAN_GROUPS, pa.int64()),
+                "_db": pa.array(db),
                 "doc_id": group.column("doc_id"),
                 "chunk_no": group.column("chunk_no"),
                 "chunk": group.column("chunk"),

@@ -47,36 +47,15 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+from pyfuseray.coarse import coarse_bucket, coarse_groups
 from pyfuseray.extras.md5vec import md5_hi60_arrow
 
 _TOKEN = re.compile(r"[a-z0-9]+")
-_MIN_BUCKETS = 1024
-_M = np.uint64(11400714819323198485)
-
-
-def _hash_buckets(n_docs: int) -> int:
-    """Gram-shuffle bucket count: the gram stream is corpus-token-sized
-    (~24 B/row), so a FIXED coarse count would make per-group payload
-    grow linearly with the corpus (100 GB/group at web scale — a
-    map_groups task materializes its whole group). Target ~8k docs of
-    grams per group (~50 MB at web-page token counts) with the usual
-    1024 floor; results are bucket-count-invariant by construction
-    (each gram hash lands wholly in one group under any count)."""
-    return max(_MIN_BUCKETS, n_docs // 8192 + 1)
-
-
-def _doc_buckets(n_docs: int) -> int:
-    """Island-merge bucket count: inputs are DUP positions only
-    (duplicate-mass-sized), so a coarser target suffices."""
-    return max(_MIN_BUCKETS, n_docs // 65536 + 1)
-
-
-def _db(ids: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Process-stable coarse doc bucket (never builtin hash)."""
-    return (
-        (ids.astype(np.uint64) * _M >> np.uint64(32))
-        % np.uint64(n_buckets)
-    ).astype(np.int64)
+# rows per shuffle group: grams are corpus-token-sized (~24 B/row), so
+# ~8k docs of grams per group (~50 MB at web-page token counts); the
+# island merge sees DUP positions only, so a coarser target suffices
+_GRAM_DOCS_PER_GROUP = 8192
+_DUP_DOCS_PER_GROUP = 65536
 
 
 def _gram_rows(
@@ -125,12 +104,7 @@ def _gram_rows(
             "hv": pa.array(hv, pa.int64()),
             "doc_id": pa.array(ids[gdoc], pa.int64()),
             "pos": pa.array(pos, pa.int64()),
-            "_hb": pa.array(
-                (hv.view(np.uint64) % np.uint64(hash_buckets)).astype(
-                    np.int64
-                ),
-                pa.int64(),
-            ),
+            "_hb": pa.array(coarse_bucket(hv, n_groups=hash_buckets)),
         }
     )
 
@@ -153,7 +127,7 @@ def _make_dup_positions(doc_buckets: int):
             {
                 "doc_id": pa.array(docs, pa.int64()),
                 "pos": group.column("pos").take(pa.array(sel)),
-                "_db": pa.array(_db(docs, doc_buckets), pa.int64()),
+                "_db": pa.array(coarse_bucket(docs, n_groups=doc_buckets)),
             }
         )
 
@@ -206,7 +180,7 @@ def duplicated_substring_spans(
     the simple ``[a-z0-9]+`` token stream; ``span_end`` is exclusive.
 
     Shuffle bucket counts derive from ``n_docs`` so per-group payloads
-    stay ~50 MB at any corpus size (``_hash_buckets``); pass it when
+    stay ~50 MB at any corpus size (``coarse.coarse_groups``); pass it when
     the input is an expensive lazy pipeline (the default ``ds.count()``
     executes the upstream once extra, same contract as
     ``simhash_candidates``). Results are bucket-count-invariant.
@@ -217,12 +191,13 @@ def duplicated_substring_spans(
         _gram_rows,
         fn_kwargs={
             "min_len": min_len, "text_col": text_col, "id_col": id_col,
-            "hash_buckets": _hash_buckets(n_docs),
+            "hash_buckets": coarse_groups(n_docs, _GRAM_DOCS_PER_GROUP),
         },
         batch_format="pyarrow",
     )
     dup = grams.groupby("_hb").map_groups(
-        _make_dup_positions(_doc_buckets(n_docs)), batch_format="pyarrow"
+        _make_dup_positions(coarse_groups(n_docs, _DUP_DOCS_PER_GROUP)),
+        batch_format="pyarrow",
     )
     return dup.groupby("_db").map_groups(
         _make_spans(min_len), batch_format="pyarrow"
@@ -249,7 +224,7 @@ def remove_duplicated_substrings(
         ds, min_len=min_len, text_col=text_col, id_col=id_col,
         n_docs=n_docs,
     )
-    rebuild_buckets = _doc_buckets(n_docs)
+    rebuild_buckets = coarse_groups(n_docs, _DUP_DOCS_PER_GROUP)
 
     def tag_doc(batch: pa.Table) -> pa.Table:
         d = batch.column(id_col).to_numpy(zero_copy_only=False)
@@ -259,7 +234,7 @@ def remove_duplicated_substrings(
                 "span_start": pa.array(np.full(d.size, -1), pa.int64()),
                 "span_end": pa.array(np.full(d.size, -1), pa.int64()),
                 "text": batch.column(text_col),
-                "_db": pa.array(_db(d, rebuild_buckets), pa.int64()),
+                "_db": pa.array(coarse_bucket(d, n_groups=rebuild_buckets)),
             }
         )
 
@@ -271,7 +246,7 @@ def remove_duplicated_substrings(
                 "span_start": batch.column("span_start"),
                 "span_end": batch.column("span_end"),
                 "text": pa.nulls(d.size, pa.string()),
-                "_db": pa.array(_db(d, rebuild_buckets), pa.int64()),
+                "_db": pa.array(coarse_bucket(d, n_groups=rebuild_buckets)),
             }
         )
 

@@ -44,6 +44,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from pyfuseray.coarse import coarse_bucket, coarse_groups
+
 MANIFEST = "_TRIGRAM_OK"
 
 
@@ -156,7 +158,6 @@ def like_search(
     *,
     text_col: str = "text",
     id_col: str = "doc_id",
-    n_doc_buckets: int = 1024,
 ) -> rd.Dataset:
     """doc_ids whose ``text_col`` matches the LIKE ``pattern`` (exact).
 
@@ -195,7 +196,7 @@ def like_search(
         filter=pads.field("gram").isin(pa.array(grams)),
     )
 
-    ndb = np.int64(n_doc_buckets)
+    groups = coarse_groups()
 
     def partial_counts(batch: pa.Table) -> pa.Table:
         # distinct per doc is guaranteed by the build; count grams/doc
@@ -203,7 +204,7 @@ def like_search(
         docs, cnt = np.unique(d, return_counts=True)
         return pa.table(
             {
-                "_db": pa.array(docs % ndb, pa.int64()),
+                "_db": pa.array(coarse_bucket(docs, n_groups=groups)),
                 "doc_id": pa.array(docs),
                 "cnt": pa.array(cnt.astype(np.int64)),
             }

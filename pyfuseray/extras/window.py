@@ -7,8 +7,8 @@ this adds the ROWS-frame sliding window: per group (user), ordered by
 (PARTITION BY g ORDER BY ts, id ROWS BETWEEN w-1 PRECEDING AND CURRENT
 ROW).
 
-100-TB shape: ONE shuffle on COARSE buckets (md5(group) % n_buckets —
-bounded group count, the repo's dedup-family rule), then fully
+100-TB shape: ONE shuffle on COARSE buckets of the group
+(``coarse.coarse_bucket``, bounded group count), then fully
 vectorized per-bucket work: lexsort, segment boundaries where the
 group changes, windowed sums as cumsum differences clipped at segment
 starts. No driver state beyond the output.
@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from pyfuseray.extras.md5vec import md5_hi60_ints
+from pyfuseray.coarse import coarse_bucket, coarse_groups
 
 
 def grouped_moving_avg(
@@ -35,25 +35,22 @@ def grouped_moving_avg(
     id_col: str,
     value_col: str,
     window_rows: int = 7,
-    n_buckets: int = 512,
 ) -> rd.Dataset:
     """(id_col, mov_avg): per-group trailing mean of the last
     ``window_rows`` rows ordered by (ts_col, id_col), 6dp."""
     if window_rows < 1:
         raise ValueError("window_rows must be >= 1")
     w = int(window_rows)
+    groups = coarse_groups()
 
     def prep(batch: pa.Table) -> pa.Table:
-        g = batch.column(group_col).to_numpy(zero_copy_only=False)
+        g = batch.column(group_col).to_numpy(zero_copy_only=False).astype(np.int64)
         v = batch.column(value_col).to_numpy(zero_copy_only=False)
         cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        cb = (md5_hi60_ints(g.astype(np.int64)) % n_buckets).astype(
-            np.int32
-        )
         return pa.table(
             {
-                "_cb": pa.array(cb),
-                "g": pa.array(g.astype(np.int64)),
+                "_cb": pa.array(coarse_bucket(g, n_groups=groups)),
+                "g": pa.array(g),
                 "t": batch.column(ts_col).cast(pa.int64()),
                 "i": batch.column(id_col).cast(pa.int64()),
                 "cents": pa.array(cents),

@@ -222,12 +222,13 @@ def add_documents(
     t0 = time.perf_counter()
     # n_docs=n_new: the staged norms and block bounds use this
     # generation's own stats; nothing reads them before a fold rewrites
-    # them (module docstring)
+    # them (module docstring), so the staged docstats may take the runs
+    # route (corpus_sorted): its dl is the same integer either way
     staged = build_index(
         new_corpus, staging, n_docs=n_new, num_buckets=m.num_buckets,
         num_salts=m.num_salts, block_size=m.block_size or None,
         analyzer=m.analyzer, tokenizer_batch_size=tokenizer_batch_size,
-        overwrite=True,
+        overwrite=True, corpus_sorted=True,
     )
     gen_dir = os.path.join(index_dir, gen_name)
     for src, dst in (

@@ -41,9 +41,10 @@ import re
 import zlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data as rd
+
+from pyfuseray.coarse import coarse_bucket, coarse_groups
 
 MANIFEST = "_POSITIONAL_OK"
 _TOKEN = re.compile(r"[a-z0-9]+")
@@ -156,8 +157,6 @@ def _match_docs(
     index_dir: str,
     terms: list[str],
     doc_matcher,
-    *,
-    n_doc_buckets: int = 1024,
 ) -> np.ndarray:
     """Shared distributed skeleton: pruned postings read -> coarse
     doc-bucket groupby -> ``doc_matcher(term->positions dict)`` per doc
@@ -168,34 +167,33 @@ def _match_docs(
     if postings is None:
         return np.empty(0, dtype=np.int64)
     need = len(distinct)
-    ndb = np.int64(n_doc_buckets)
+    groups = coarse_groups()
 
     def add_db(batch: pa.Table) -> pa.Table:
-        d = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        return batch.append_column("_db", pa.array(d % ndb, pa.int64()))
+        db = coarse_bucket(batch.column("doc_id"), n_groups=groups)
+        return batch.append_column("_db", pa.array(db))
 
-    def match_group(group: pd.DataFrame) -> pd.DataFrame:
+    def match_group(group: pa.Table) -> pa.Table:
         # rows: term, doc_id, positions — every row of a doc for the
         # query's terms lands in this group (bucket is doc-derived)
-        counts = group.groupby("doc_id")["term"].nunique()
-        full = counts[counts == need].index.to_numpy()
-        if not full.size:
-            return pd.DataFrame({"doc_id": pd.Series(dtype="int64")})
-        sub = group[group["doc_id"].isin(full)]
+        doc = group.column("doc_id").to_numpy(zero_copy_only=False)
+        terms = group.column("term").to_pylist()
+        pos = group.column("positions").combine_chunks()
+        off = pos.offsets.to_numpy(zero_copy_only=False)
+        vals = pos.values.to_numpy(zero_copy_only=False).astype(np.int64)
+        order = np.argsort(doc, kind="stable")
+        doc_s = doc[order]
         out = []
-        for doc_id, rows in sub.groupby("doc_id"):
-            posmap = {
-                t: np.asarray(p, dtype=np.int64)
-                for t, p in zip(rows["term"], rows["positions"])
-            }
-            if doc_matcher(posmap):
-                out.append(doc_id)
-        return pd.DataFrame({"doc_id": np.asarray(out, dtype=np.int64)})
+        for rows in np.split(order, np.flatnonzero(doc_s[1:] != doc_s[:-1]) + 1):
+            posmap = {terms[i]: vals[off[i] : off[i + 1]] for i in rows}
+            if len(posmap) == need and doc_matcher(posmap):
+                out.append(doc[rows[0]])
+        return pa.table({"doc_id": pa.array(out, pa.int64())})
 
     matched = (
         postings.map_batches(add_db, batch_format="pyarrow")
         .groupby("_db")
-        .map_groups(match_group, batch_format="pandas")
+        .map_groups(match_group, batch_format="pyarrow")
         .to_pandas()
     )
     if "doc_id" not in matched.columns or matched.empty:
@@ -203,9 +201,7 @@ def _match_docs(
     return np.sort(matched["doc_id"].to_numpy(dtype=np.int64))
 
 
-def phrase_docs(
-    index_dir: str, phrase: str, *, n_doc_buckets: int = 1024
-) -> np.ndarray:
+def phrase_docs(index_dir: str, phrase: str) -> np.ndarray:
     """doc_ids whose raw token stream contains the phrase's tokens
     CONSECUTIVELY (classic positional-intersection phrase match;
     handles repeated terms — each slot constrains the same start
@@ -225,9 +221,7 @@ def phrase_docs(
                 return False
         return True
 
-    return _match_docs(
-        index_dir, slots, matcher, n_doc_buckets=n_doc_buckets
-    )
+    return _match_docs(index_dir, slots, matcher)
 
 
 def proximity_docs(
@@ -235,7 +229,6 @@ def proximity_docs(
     terms: list[str],
     *,
     window: int,
-    n_doc_buckets: int = 1024,
 ) -> np.ndarray:
     """doc_ids where ONE occurrence of every distinct query term fits in
     a token window of span <= ``window`` (max position - min position),
@@ -273,6 +266,4 @@ def proximity_docs(
                 return True
         return False
 
-    return _match_docs(
-        index_dir, distinct, matcher, n_doc_buckets=n_doc_buckets
-    )
+    return _match_docs(index_dir, distinct, matcher)

@@ -37,6 +37,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
+from pyfuseray.coarse import coarse_bucket, coarse_groups
 from pyfuseray.codec import BLOCK_SIZE, decode_postings, encode_postings
 from pyfuseray.postings import RUN_SCHEMA
 from pyfuseray.scoring import bm25_contrib, bm25_idf
@@ -55,10 +56,6 @@ SEGMENT_SCHEMA = pa.schema(
 )
 
 _MERGED_SCHEMA = RUN_SCHEMA  # merge preserves the run schema
-
-# coarse term-bucket count for the merge shuffle: groups stay ~thousands
-# regardless of vocabulary size (per-group overhead never scales with it)
-COARSE_GROUPS = 512
 
 
 def _merge_one_term(rows: list[dict]) -> dict:
@@ -378,12 +375,17 @@ def build_bucket_segment(
     ``num_salts`` = S; salt = first_doc * S // n_docs splits hot terms'
     runs into bounded doc-range groups. ``bucket`` sets a constant
     bucket id when reading a single bucket's leaf dir (hive reads of
-    the root already carry the column).
+    the root already carry the column). Runs shuffle on a coarse bucket
+    of the term (``coarse.coarse_bucket``): groups stay bounded whatever
+    the vocabulary size, and every run of a term lands in one group.
     """
-    import zlib
-
     s = max(1, int(num_salts))
     n = max(1, int(n_docs))
+    groups = coarse_groups()
+
+    def add_tbucket(batch: pa.Table) -> pa.Table:
+        tb = coarse_bucket(batch.column("term"), n_groups=groups)
+        return batch.append_column("tbucket", pa.array(tb))
 
     def add_keys(batch: pa.Table) -> pa.Table:
         first = batch.column("first_doc").to_numpy(zero_copy_only=False)
@@ -397,14 +399,7 @@ def build_bucket_segment(
             batch = batch.append_column(
                 "bucket", pa.array(np.full(batch.num_rows, bucket or 0, dtype=np.int32))
             )
-        tbuckets = np.fromiter(
-            ((zlib.crc32(t.encode()) >> 8) % COARSE_GROUPS
-             for t in batch.column("term").to_pylist()),
-            dtype=np.int32,
-            count=batch.num_rows,
-        )
-        batch = batch.append_column("tbucket", pa.array(tbuckets, pa.int32()))
-        return batch.append_column("salt", pa.array(salt, type=pa.int64()))
+        return add_tbucket(batch).append_column("salt", pa.array(salt, pa.int64()))
 
     salted = runs.map_batches(add_keys, batch_format="pyarrow")
     if s == 1:
@@ -415,17 +410,7 @@ def build_bucket_segment(
         part = salted.groupby(["tbucket", "salt"]).map_groups(
             merge_runs_group, batch_format="pyarrow"
         )
-
-        def readd_tbucket(batch: pa.Table) -> pa.Table:
-            tb = np.fromiter(
-                ((zlib.crc32(t.encode()) >> 8) % COARSE_GROUPS
-                 for t in batch.column("term").to_pylist()),
-                dtype=np.int32,
-                count=batch.num_rows,
-            )
-            return batch.append_column("tbucket", pa.array(tb, pa.int32()))
-
-        part = part.map_batches(readd_tbucket, batch_format="pyarrow")
+        part = part.map_batches(add_tbucket, batch_format="pyarrow")
         merged = part.groupby("tbucket").map_groups(
             merge_runs_group, batch_format="pyarrow"
         )

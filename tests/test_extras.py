@@ -307,13 +307,16 @@ def test_join_pair_payloads():
     assert out["payload_b"].tolist() == ["text-2", "text-3"]
 
 
-def test_join_pair_payloads_coarse_groups_hold_many_keys():
+def test_join_pair_payloads_coarse_groups_hold_many_keys(monkeypatch):
     """Scale-shape invariant (round-2 verdict #1): the pair-payload join
     shuffles on COARSE buckets, so one group carries MANY jids / MANY
-    (a, b) pairs. With coarse_groups=5 and 40 pairs every group holds
+    (a, b) pairs. With 5 coarse groups and 40 pairs every group holds
     ~8 pairs — a per-key assumption in attach/pivot (the old
     one-group-per-candidate shape) would return garbage here."""
+    from pyfuseray import coarse
     from pyfuseray.extras.dedup import join_pair_payloads
+
+    monkeypatch.setattr(coarse, "FLOOR_GROUPS", 5)
 
     n = 40
     pair_rows = [{"a": i, "b": i + n} for i in range(n)]
@@ -326,7 +329,7 @@ def test_join_pair_payloads_coarse_groups_hold_many_keys():
         [{"doc_id": i, "text": f"payload-{i}"} for i in range(2 * n)]
     ).repartition(6)
     out = (
-        join_pair_payloads(pairs, payloads, coarse_groups=5)
+        join_pair_payloads(pairs, payloads)
         .to_pandas()
         .sort_values("a")
         .reset_index(drop=True)

@@ -88,6 +88,29 @@ def test_bm25_and_boolean_bit_identical_to_fresh_build(tiered):
         ), q
 
 
+def test_tiered_add_skips_segments_docstats_decode(ray_session, tmp_path, monkeypatch):
+    """A staged generation's docstats come from its runs: nothing reads its
+    norms before a fold, and its dl is the same integer on either route.
+    With the segments decode made to raise, a tiered add still succeeds
+    and BM25 stays bit-identical to a fresh build."""
+    import pyfuseray.build as build_mod
+
+    texts = _texts(120, seed=11)
+    half = len(texts) // 2
+    one, tod = str(tmp_path / "oneshot"), str(tmp_path / "tiered")
+    build_index(_ds(texts, 0), one, num_buckets=4)
+    build_index(_ds(texts[:half], 0), tod, num_buckets=4)
+
+    def no_segments_decode(*args, **kwargs):
+        raise AssertionError("staged build decoded its segments for docstats")
+
+    monkeypatch.setattr(build_mod, "docstats_dataset", no_segments_decode)
+    add_documents(tod, _ds(texts[half:], half), mode="tiered", max_generations=10)
+    s1, s2 = IndexSearcher(one), IndexSearcher(tod)
+    for q in QUERIES:
+        assert s1.search_bm25(q, 10, algorithm="taat") == s2.search_bm25(q, 10), q
+
+
 def test_stale_tiers_gated_not_wrong(tiered):
     one, tod, m, texts = tiered
     s2 = IndexSearcher(tod)
